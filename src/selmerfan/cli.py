@@ -37,8 +37,6 @@ from .store import cache_checksum, cache_path, ensure_classified, read_curves_cs
 CACHE_ENV = "SELMERFAN_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".selmerfan-cache"
 
-ingest_curves = read_curves_csv
-
 
 @dataclass
 class RunConfig:
@@ -371,7 +369,15 @@ def run(config: RunConfig) -> Report:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file and rename, so readers never see a partial file."""
+    """Write through a temp file and rename, so readers never see a partial file.
+
+    An existing target that is not a regular file, such as a FIFO or a
+    device, is written in place: renaming over it would replace the node.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     target_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(target_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target_dir, prefix=".tmp-report-")

@@ -2,13 +2,14 @@
 
 For a curve y^2 = x^3 + Ax + B and a good prime p > 3 this module computes
 the Frobenius trace a_p by a quadratic character sum, the F3-dimension of
-the 3-torsion over F_p and over F_{p^2} by factoring the 3-division
+the 3-torsion over F_p and over F_{p^2} from the F_p roots of the 3-division
 polynomial, and the derived class data (splitting in the quadratic
 cyclotomic field, support flags, Frobenius conjugacy class).
 
-All polynomial work stays in F_p[x]; the quadratic extension is touched
-only through pair arithmetic in F_p[u]/(u^2 - n) for the final root and
-square tests. Point counting is the naive O(p) sum, capped at p <= 10^6.
+All polynomial work stays in F_p[x]. The quadratic extension needs no
+arithmetic of its own: its 3-torsion is that of the curve plus that of
+the quadratic twist over F_p, and both are read from the same roots.
+Point counting is the naive O(p) sum, capped at p <= 10^6.
 """
 from __future__ import annotations
 
@@ -195,22 +196,6 @@ def _ppowmod(base, e, mod, p):
     return result
 
 
-def _pcompose(f, g, mod, p):
-    """f(g) reduced mod the modulus, by Horner in the quotient ring."""
-    res: list[int] = []
-    for c in reversed(f):
-        res = _pmulmod(res, g, mod, p)
-        res = _padd(res, [c], p)
-    return res
-
-
-def _peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
@@ -299,11 +284,19 @@ def _torsion_count_to_dim(t: int, p: int) -> int:
     return {0: 0, 2: 1, 8: 2}[t]
 
 
-def dim3_fp(curve: CurveQ, p: int, ap_value: int | None = None) -> int:
-    """F3-dimension of the 3-torsion subgroup rational over F_p."""
+def _torsion_dims(curve: CurveQ, p: int, ap_value: int | None = None) -> tuple[int, int]:
+    """F3-dimensions of the 3-torsion rational over F_p and over F_{p^2}.
+
+    Frobenius g has eigenvalues +1 and -1 on E[3], distinct mod 3, so the
+    F_{p^2}-rational part ker(g^2 - 1) is ker(g - 1) + ker(g + 1). An F_p
+    root r of the division polynomial gives two points of ker(g - 1) when
+    r^3 + Ar + B is a square mod p, and two of ker(g + 1), the 3-torsion
+    of the quadratic twist, when it is not. Both dimensions are checked
+    against the point counts p + 1 - a_p and p + 1 + a_p.
+    """
     _check_prime(curve, p)
     A, B = curve.A % p, curve.B % p
-    t = 0
+    t = t_twist = 0
     for r in _psi3_fp_roots(curve, p):
         fr = (pow(r, 3, p) + A * r + B) % p
         ls = _legendre(fr, p)
@@ -311,117 +304,33 @@ def dim3_fp(curve: CurveQ, p: int, ap_value: int | None = None) -> int:
             raise ConsistencyError(f"3-division root {r} mod {p} lies on the 2-torsion locus")
         if ls == 1:
             t += 2
+        else:
+            t_twist += 2
     dim = _torsion_count_to_dim(t, p)
+    dim_twist = _torsion_count_to_dim(t_twist, p)
     if ap_value is None:
         ap_value = ap(curve, p)
     if (p + 1 - ap_value) % 3**dim:
         raise ConsistencyError(f"3^{dim} does not divide the point count at p = {p}")
-    return dim
+    if (p + 1 + ap_value) % 3**dim_twist:
+        raise ConsistencyError(f"3^{dim_twist} does not divide the twist's point count at p = {p}")
+    return dim, dim + dim_twist
 
 
-def _fp2_mul(z, w, n, p):
-    a, b = z
-    c, d = w
-    return ((a * c + n * b * d) % p, (a * d + b * c) % p)
-
-
-def _fp2_pow(z, e, n, p):
-    result = (1, 0)
-    while e:
-        if e & 1:
-            result = _fp2_mul(result, z, n, p)
-        z = _fp2_mul(z, z, n, p)
-        e >>= 1
-    return result
-
-
-def _fp2_is_square(z, n, p):
-    if z == (0, 0):
-        return True
-    return _fp2_pow(z, (p * p - 1) // 2, n, p) == (1, 0)
-
-
-def _least_nonresidue(p: int) -> int:
-    n = 2
-    while _legendre(n, p) != -1:
-        n += 1
-        if n >= p:
-            raise ConsistencyError(f"no quadratic nonresidue found mod {p}")
-    return n
-
-
-def _split_quartic(g, p):
-    """Split a product of two distinct irreducible quadratics over F_p."""
-    e = (p * p - 1) // 2
-    for c in range(min(p, 512)):
-        w = _ppowmod([c, 1], e, g, p)
-        d = _pgcd(_psub(w, [1], p), g, p)
-        if len(d) - 1 == 2:
-            return [d, _pdivmod(g, d, p)[0]]
-    raise ConsistencyError(f"could not split a quartic into quadratics mod {p}")
+def dim3_fp(curve: CurveQ, p: int, ap_value: int | None = None) -> int:
+    """F3-dimension of the 3-torsion subgroup rational over F_p."""
+    return _torsion_dims(curve, p, ap_value)[0]
 
 
 def dim3_fp2(curve: CurveQ, p: int) -> int:
-    """F3-dimension of the 3-torsion subgroup rational over F_{p^2}.
-
-    F_p roots of the division polynomial always contribute, since every
-    element of F_p is a square in F_{p^2}; the quadratic factors are rooted
-    in F_p[u]/(u^2 - n) and kept only when the curve equation value is a
-    square there.
-    """
-    _check_prime(curve, p)
-    roots = _psi3_fp_roots(curve, p)
-    h = _monic_psi3(curve, p)
-    for r in roots:
-        h, rem = _pdivmod(h, [(-r) % p, 1], p)
-        if rem:
-            raise ConsistencyError(f"root division left a remainder at p = {p}")
-    for r in roots:
-        if _peval(h, r, p) == 0:
-            raise ConsistencyError(f"repeated 3-division root {r} mod {p}")
-    t2 = 2 * len(roots)
-    deg_h = len(h) - 1
-    quads: list[list[int]] = []
-    if deg_h == 2:
-        quads = [h]
-    elif deg_h in (3, 4):
-        xp = _ppowmod([0, 1], p, h, p)
-        xp2 = _pcompose(xp, xp, h, p)
-        g2 = _pgcd(_psub(xp2, [0, 1], p), h, p)
-        deg2 = len(g2) - 1
-        if deg2 == 2:
-            quads = [g2]
-        elif deg2 == 4:
-            quads = _split_quartic(g2, p)
-        elif deg2 > 0:
-            raise ConsistencyError(f"degree-{deg2} quadratic part at p = {p}")
-    elif deg_h > 0:
-        raise ConsistencyError(f"unremoved linear factor at p = {p}")
-    if quads:
-        n = _least_nonresidue(p)
-        inv2 = pow(2, -1, p)
-        A, B = curve.A % p, curve.B % p
-        for q in quads:
-            disc = (q[1] * q[1] - 4 * q[0]) % p
-            s = _sqrt_mod(disc * pow(n, -1, p) % p, p)
-            root = ((-q[1]) * inv2 % p, s * inv2 % p)
-            x2 = _fp2_mul(root, root, n, p)
-            x3 = _fp2_mul(x2, root, n, p)
-            fval = ((x3[0] + A * root[0] + B) % p, (x3[1] + A * root[1]) % p)
-            if fval == (0, 0):
-                raise ConsistencyError(f"quadratic 3-division root on 2-torsion locus, p = {p}")
-            if _fp2_is_square(fval, n, p):
-                t2 += 4
-    return _torsion_count_to_dim(t2, p)
+    """F3-dimension of the 3-torsion subgroup rational over F_{p^2}."""
+    return _torsion_dims(curve, p)[1]
 
 
 def classify_prime(curve: CurveQ, p: int) -> PrimeClassRecord:
     """Full local record at p: trace, torsion dimensions, class data."""
     a = ap(curve, p)
-    d1 = dim3_fp(curve, p, ap_value=a)
-    d2 = dim3_fp2(curve, p)
-    if d1 > d2:
-        raise ConsistencyError(f"torsion dimension dropped under field extension at p = {p}")
+    d1, d2 = _torsion_dims(curve, p, a)
     if d1 == 2 and p % 3 != 1:
         raise ConsistencyError(f"full 3-torsion over F_{p} but p != 1 mod 3")
     split = p % 3 == 1

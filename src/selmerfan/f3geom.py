@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import ConfigError
+
 MAX_AMBIENT_DIM = 8  # 3^8 vectors is the practical exhaustive limit
 
 Vec = tuple[int, ...]
@@ -100,21 +102,21 @@ class QuadSpace:
 
     def __post_init__(self) -> None:
         if self.dim <= 0 or self.dim % 2:
-            raise ValueError("dim must be a positive even integer")
+            raise ConfigError("dim must be a positive even integer")
         if self.dim > MAX_AMBIENT_DIM:
-            raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
+            raise ConfigError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
         gram = tuple(tuple(x % 3 for x in row) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         if len(gram) != self.dim or any(len(row) != self.dim for row in gram):
-            raise ValueError("gram must be dim x dim")
+            raise ConfigError("gram must be dim x dim")
         for i in range(self.dim):
             for j in range(self.dim):
                 if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram must be symmetric")
+                    raise ConfigError("gram must be symmetric")
         if len(_rref(gram, self.dim)) != self.dim:
-            raise ValueError("gram must be nondegenerate over F3")
+            raise ConfigError("gram must be nondegenerate over F3")
         if self.n_blocks < 1 or self.dim % self.n_blocks:
-            raise ValueError("blocks must partition the coordinates evenly")
+            raise ConfigError("blocks must partition the coordinates evenly")
 
     @property
     def block_dim(self) -> int:
@@ -129,7 +131,7 @@ class QuadSpace:
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector length does not match dim")
+            raise ConfigError("vector length does not match dim")
         return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.dim) for j in range(self.dim)) % 3
 
 
@@ -155,7 +157,7 @@ def enumerate_subspaces(space: QuadSpace, d: int) -> list[Subspace]:
     """
     n = space.dim
     if not 0 <= d <= n:
-        raise ValueError(f"subspace dimension {d} out of range 0..{n}")
+        raise ConfigError(f"subspace dimension {d} out of range 0..{n}")
     if d == 0:
         return [Subspace(n, ())]
     out = []
@@ -212,13 +214,13 @@ def coordinatewise_lagrangians(space: QuadSpace) -> list[Subspace]:
     """Subspaces of dim n*(block_dim/2) whose every block projection is
     Lagrangian for that block's form. Brute force over all candidates."""
     if space.block_dim % 2:
-        raise ValueError("block dimension must be even")
+        raise ConfigError("block dimension must be even")
     blocks = []
     for i in range(space.n_blocks):
         try:
             blocks.append(_block_space(space, i))
-        except ValueError as e:
-            raise ValueError(f"block {i}: {e}") from e
+        except ConfigError as e:
+            raise ConfigError(f"block {i}: {e}") from e
     target = space.n_blocks * (space.block_dim // 2)
     out = []
     for w in enumerate_subspaces(space, target):
@@ -239,12 +241,12 @@ def ramified_coordinatewise_lagrangians(
     """Coordinate-wise Lagrangians whose every block projection differs from
     the marked (unramified) Lagrangian of its block."""
     if len(distinguished) != space.n_blocks:
-        raise ValueError("need one marked subspace per block")
+        raise ConfigError("need one marked subspace per block")
     for i, mark in enumerate(distinguished):
         if mark.ambient_dim != space.block_dim:
-            raise ValueError(f"marked subspace {i} has wrong ambient dimension")
+            raise ConfigError(f"marked subspace {i} has wrong ambient dimension")
         if not is_totally_isotropic(_block_space(space, i), mark):
-            raise ValueError(f"marked subspace {i} is not isotropic for its block")
+            raise ConfigError(f"marked subspace {i} is not isotropic for its block")
     return [
         w
         for w in coordinatewise_lagrangians(space)

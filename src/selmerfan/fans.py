@@ -111,18 +111,6 @@ def ln_sequence(L: GrowthFn, Y: float, n: int) -> list[float]:
     return out
 
 
-def _is_perfect_cube(d: int) -> bool:
-    if d < 0:
-        return _is_perfect_cube(-d)
-    r = round(d ** (1 / 3))
-    return any((r + e) ** 3 == d for e in (-1, 0, 1))
-
-
-def cubic_is_irreducible(d: int) -> bool:
-    """Whether x^3 - d has no rational root."""
-    return not _is_perfect_cube(d)
-
-
 @dataclass(frozen=True)
 class FanElement:
     """One admissible prime tuple with its weight and cubic representative."""
@@ -158,25 +146,6 @@ def make_element(primes: tuple[int, ...], records: dict[int, PrimeClassRecord]) 
 def lift_count(elem: FanElement) -> int:
     """Number of character lifts over the element: 6 per prime."""
     return 6**elem.m
-
-
-def case_filter(case: str, oracle=None):
-    """Predicate on classification records for the three support cases.
-
-    All cases require the local torsion to miss full rank; cases A and C
-    additionally consult a caller-supplied splitting oracle on the prime.
-    """
-    if case not in ("A", "B", "C"):
-        raise ConfigError(f"case must be 'A', 'B' or 'C', got {case!r}")
-    if case in ("A", "C") and oracle is None:
-        raise ConfigError(f"case {case} needs an external splitting oracle")
-    if case == "B":
-        oracle = lambda p: True
-
-    def predicate(record: PrimeClassRecord) -> bool:
-        return record.in_DB_support and bool(oracle(record.p))
-
-    return predicate
 
 
 def _coverage_records(

@@ -90,6 +90,8 @@ def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
 
 def append_records(path: str, records: list[PrimeClassRecord]) -> int:
     """Append records whose (label, p) keys are not yet present."""
+    if not records:
+        return 0
     existing = set(load_records(path))
     fresh = [r for r in records if (r.label, r.p) not in existing]
     if fresh:

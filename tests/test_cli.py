@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, reports, reproducibility."""
 import json
 import os
+import stat
 
 import pytest
 
@@ -141,6 +142,19 @@ class TestReportDeterminism:
         main(["tailbound", "--s", "6", "--out", out])
         assert sorted(os.listdir(out_dir)) == ["r.json"]
 
+    def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
+        fifo = str(tmp_path / "report.fifo")
+        os.mkfifo(fifo)
+        # hold the read end open first, or opening the FIFO to write blocks
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["tailbound", "--s", "6", "--out", fifo]) == 0
+            data = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(data)["meta"]["command"] == "tailbound"
+
 
 class TestRunApi:
     def test_run_returns_report(self):
@@ -200,6 +214,12 @@ class TestLagrangianCommand:
         assert main(["lagrangians", "--dim", "2", "--gram", str(gram)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
+
+    def test_odd_block_dimension_is_2(self, capsys):
+        assert main(["lagrangians", "--dim", "6", "--blocks", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
     def test_bad_gram_file_is_3(self, tmp_path, capsys):
         gram = tmp_path / "gram.json"

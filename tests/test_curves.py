@@ -206,10 +206,10 @@ class TestAgainstBruteForce:
             assert npts == p + 1 - ap(FIX, p), p
             assert d1 == bd, p
 
-    @pytest.mark.parametrize("a,b", [(1, 1), (0, 1), (1, -1), (2, 3)])
+    @pytest.mark.parametrize("a,b", [(1, 1), (0, 1), (1, -1), (2, 3), (0, -432), (-3, 18)])
     def test_dim_fp2_matches_extension_scan(self, a, b):
         curve = CurveQ(a, b)
-        for p in [5, 7, 11, 13, 17, 19, 23]:
+        for p in primes_upto(61)[2:]:
             if curve.discriminant % p == 0:
                 continue
             assert dim3_fp2(curve, p) == brute_dim3_fp2(a, b, p), (a, b, p)
@@ -238,6 +238,8 @@ class TestAgainstBruteForce:
                 torsion += 1
         dim = {1: 0, 3: 1, 9: 2}[torsion]
         assert dim3_fp(FIX, p) == dim
+        a = ap(FIX, p)
+        assert ((p + 1) ** 2 - a * a) % 3 ** dim3_fp2(FIX, p) == 0
 
 
 class TestStructuralInvariants:
@@ -289,6 +291,7 @@ def test_random_curves_match_brute_force(A, B, p):
         return
     bd, npts = brute_dim3(A % p, B % p, p)
     assert dim3_fp(curve, p) == bd
+    assert dim3_fp2(curve, p) == brute_dim3_fp2(A, B, p)
     assert ap(curve, p) == p + 1 - npts
 
 

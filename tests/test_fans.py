@@ -4,14 +4,12 @@ import math
 import pytest
 
 from selmerfan.chain import Distribution, evolve
-from selmerfan.curves import CurveQ, classify_range
+from selmerfan.curves import CurveQ, classify_range, is_prime
 from selmerfan.errors import ConfigError, DataError
 from selmerfan.fans import (
     FanElement,
     GrowthFn,
     RangeOverflowError,
-    case_filter,
-    cubic_is_irreducible,
     enumerate_fan,
     fan_distribution,
     lift_count,
@@ -90,13 +88,6 @@ class TestLnSequence:
 
 
 class TestCubics:
-    def test_irreducible_iff_not_cube(self):
-        assert cubic_is_irreducible(35)
-        assert cubic_is_irreducible(2)
-        assert not cubic_is_irreducible(27)
-        assert not cubic_is_irreducible(64)
-        assert not cubic_is_irreducible(1)
-
     def test_element_validation(self):
         with pytest.raises(ConfigError):
             FanElement((7, 5), 1, 35, "x^3 - 35")
@@ -110,28 +101,6 @@ class TestCubics:
         assert lift_count(make_element((5,), recs)) == 6
         assert lift_count(make_element((5, 7), recs)) == 36
         assert lift_count(make_element((5, 7, 11), recs)) == 216
-
-
-class TestCaseFilter:
-    def test_case_b_needs_no_oracle(self):
-        recs = records_upto(100)
-        pred = case_filter("B")
-        kept = [p for p, r in recs.items() if pred(r)]
-        assert kept == [p for p, r in recs.items() if r.in_DB_support]
-
-    def test_cases_a_and_c_need_oracle(self):
-        with pytest.raises(ConfigError):
-            case_filter("A")
-        with pytest.raises(ConfigError):
-            case_filter("C")
-        pred = case_filter("A", oracle=lambda p: p % 10 == 1)
-        recs = records_upto(100)
-        kept = [p for p, r in recs.items() if pred(r)]
-        assert all(p % 10 == 1 for p in kept)
-
-    def test_unknown_case(self):
-        with pytest.raises(ConfigError):
-            case_filter("D")
 
 
 def naive_fan(records, m, w, bounds):
@@ -177,8 +146,13 @@ class TestEnumerateFan:
     def test_emitted_cubics_irreducible(self):
         growth = parse_growth("pow:1")
         recs = records_upto(196)
+        # x^3 - d is irreducible unless d is a cube; a product of distinct
+        # primes greater than 1 is squarefree, so never a cube
         for elem in enumerate_fan(FIX, 2, 2, 14.0, growth, recs):
-            assert cubic_is_irreducible(elem.d_value)
+            assert elem.d_value > 1
+            assert len(set(elem.primes)) == len(elem.primes)
+            assert all(is_prime(q) for q in elem.primes)
+            assert math.prod(elem.primes) == elem.d_value
 
     def test_weight_accounting(self):
         growth = parse_growth("pow:1")

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from selmerfan.curves import CurveQ, classify_prime, classify_range
+from selmerfan import store
 from selmerfan.errors import DataError
 from selmerfan.store import (
     append_records,
@@ -110,12 +111,15 @@ class TestCache:
         assert c1 != c2
         assert len(c1) == 64
 
-    def test_ensure_classified_cold_then_warm(self, tmp_path):
+    def test_ensure_classified_cold_then_warm(self, tmp_path, monkeypatch):
         path = cache_path(str(tmp_path), "fix")
         first, fresh1 = ensure_classified(FIX, 300, path)
         assert fresh1 == len(first) > 0
         bytes_after_first = open(path, "rb").read()
+        reads = []
+        monkeypatch.setattr(store, "load_records", lambda p: reads.append(p) or load_records(p))
         second, fresh2 = ensure_classified(FIX, 300, path)
+        assert reads == [path]  # a warm run parses the cache once
         assert fresh2 == 0
         assert second == first
         assert open(path, "rb").read() == bytes_after_first
