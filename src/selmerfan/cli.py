@@ -283,18 +283,15 @@ def _run_lagrangians(config: RunConfig) -> dict:
         space = QuadSpace(config.dim, _parse_gram(config.gram), config.blocks)
     else:
         space = hyperbolic_space(config.dim, config.blocks)
-    lags = lagrangians(space)
-    payload = {
-        "dim": config.dim,
-        "blocks": config.blocks,
-        "gram": [list(row) for row in space.gram],
-        "count": len(lags),
-        "lagrangians": [[list(v) for v in sub.basis] for sub in lags],
-    }
+    payload = {"dim": config.dim, "blocks": config.blocks, "gram": [list(row) for row in space.gram]}
     if config.blocks > 1:
+        # first, so that a bad block split fails before the full enumeration
         coord = coordinatewise_lagrangians(space)
         payload["coordinatewise_count"] = len(coord)
         payload["coordinatewise"] = [[list(v) for v in sub.basis] for sub in coord]
+    lags = lagrangians(space)
+    payload["count"] = len(lags)
+    payload["lagrangians"] = [[list(v) for v in sub.basis] for sub in lags]
     return payload
 
 

@@ -2,8 +2,8 @@
 
 Subspaces are kept in reduced row-echelon form, which is the unique
 canonical representative, so equality of subspaces is tuple equality.
-Everything here is exhaustive enumeration on purpose: this module is the
-brute-force oracle the rest of the package is checked against.
+Lagrangians filter the echelon enumeration of half-dimensional subspaces;
+coordinatewise Lagrangians are built as direct sums of block Lagrangians.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
-MAX_AMBIENT_DIM = 8  # 3^8 vectors is the practical exhaustive limit
+MAX_AMBIENT_DIM = 6  # dim 8 would mean gaussian_binomial(8, 4) = 75,913,222 subspaces to filter
 
 Vec = tuple[int, ...]
 
@@ -200,39 +200,39 @@ def lagrangians(space: QuadSpace) -> list[Subspace]:
     return [w for w in enumerate_subspaces(space, half) if is_totally_isotropic(space, w)]
 
 
-def _block_projection(space: QuadSpace, sub: Subspace, i: int) -> Subspace:
-    rng = space.block_range(i)
-    rows = [[row[j] for j in rng] for row in sub.basis]
-    return Subspace.span(rows, space.block_dim)
-
-
 def _block_space(space: QuadSpace, i: int) -> QuadSpace:
     return QuadSpace(space.block_dim, space.block_gram(i))
 
 
-def coordinatewise_lagrangians(space: QuadSpace) -> list[Subspace]:
-    """Subspaces of dim n*(block_dim/2) whose every block projection is
-    Lagrangian for that block's form. Brute force over all candidates."""
+def _block_lagrangian_sums(space: QuadSpace) -> Iterator[tuple[tuple[Subspace, ...], Subspace]]:
+    """Each choice of one Lagrangian per block, with its direct sum.
+
+    A W whose block projections pi_i(W) are block Lagrangians lies in their
+    sum and has its dimension, so W is that sum. Sums come out sorted by
+    basis: block lists are sorted, and a sum's basis is theirs concatenated.
+    """
     if space.block_dim % 2:
         raise ConfigError("block dimension must be even")
-    blocks = []
+    per_block = []
     for i in range(space.n_blocks):
         try:
-            blocks.append(_block_space(space, i))
+            per_block.append(lagrangians(_block_space(space, i)))
         except ConfigError as e:
             raise ConfigError(f"block {i}: {e}") from e
-    target = space.n_blocks * (space.block_dim // 2)
-    out = []
-    for w in enumerate_subspaces(space, target):
-        ok = True
-        for i, blk in enumerate(blocks):
-            proj = _block_projection(space, w, i)
-            if proj.dim != space.block_dim // 2 or not is_totally_isotropic(blk, proj):
-                ok = False
-                break
-        if ok:
-            out.append(w)
-    return out
+    k = space.block_dim
+    for parts in itertools.product(*per_block):
+        rows = [
+            (0,) * (i * k) + row + (0,) * (space.dim - (i + 1) * k)
+            for i, part in enumerate(parts)
+            for row in part.basis
+        ]
+        yield parts, Subspace.span(rows, space.dim)
+
+
+def coordinatewise_lagrangians(space: QuadSpace) -> list[Subspace]:
+    """Subspaces of dim n*(block_dim/2) whose every block projection is
+    Lagrangian for that block's form: the direct sums of block Lagrangians."""
+    return [w for _, w in _block_lagrangian_sums(space)]
 
 
 def ramified_coordinatewise_lagrangians(
@@ -249,9 +249,6 @@ def ramified_coordinatewise_lagrangians(
             raise ConfigError(f"marked subspace {i} is not isotropic for its block")
     return [
         w
-        for w in coordinatewise_lagrangians(space)
-        if all(
-            _block_projection(space, w, i) != distinguished[i]
-            for i in range(space.n_blocks)
-        )
+        for parts, w in _block_lagrangian_sums(space)
+        if all(part != mark for part, mark in zip(parts, distinguished))
     ]

@@ -117,30 +117,26 @@ class FanElement:
 
     primes: tuple[int, ...]
     w: int
-    d_value: int
-    cubic_poly: str
 
     def __post_init__(self) -> None:
         if list(self.primes) != sorted(set(self.primes)):
             raise ConfigError("primes must be strictly increasing")
-        if self.d_value != math.prod(self.primes):
-            raise ConfigError("d_value must be the product of the primes")
-        if self.cubic_poly != _cubic_string(self.d_value):
-            raise ConfigError("cubic representative does not match d_value")
 
     @property
     def m(self) -> int:
         return len(self.primes)
 
+    @property
+    def d_value(self) -> int:
+        return math.prod(self.primes)
 
-def _cubic_string(d: int) -> str:
-    return f"x^3 - {d}"
+    @property
+    def cubic_poly(self) -> str:
+        return f"x^3 - {self.d_value}"
 
 
 def make_element(primes: tuple[int, ...], records: dict[int, PrimeClassRecord]) -> FanElement:
-    w = sum(records[q].dim_fp for q in primes)
-    d = math.prod(primes)
-    return FanElement(tuple(primes), w, d, _cubic_string(d))
+    return FanElement(tuple(primes), sum(records[q].dim_fp for q in primes))
 
 
 def lift_count(elem: FanElement) -> int:
@@ -274,11 +270,10 @@ def fan_distribution(
     trials: int,
     seed: int,
     records: dict[int, PrimeClassRecord] | None = None,
-    enumeration_limit: int = 3,
 ) -> Distribution:
     """Empirical final-dimension law over the fan, lifts sampled per prime.
 
-    Small fans (m up to enumeration_limit) are enumerated and trials are
+    Small fans (m up to 3) are enumerated and trials are
     spread across all elements as evenly as possible; larger fans draw a
     uniform batch of elements by rejection. Each element's primes replay
     through the rank walk on an element-specific substream.
@@ -291,7 +286,7 @@ def fan_distribution(
     initial = rho_e.initial_distribution()
     bounds = ln_sequence(L, X, m)
     records = _coverage_records(curve, bounds[-1], records)
-    if m <= enumeration_limit:
+    if m <= 3:
         elements = enumerate_fan(curve, m, w, X, L, records)
         if not elements:
             raise ConfigError(

@@ -215,11 +215,22 @@ class TestLagrangianCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
 
-    def test_odd_block_dimension_is_2(self, capsys):
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("enumerate_subspaces called")
+
+        monkeypatch.setattr("selmerfan.f3geom.enumerate_subspaces", refuse)
+
+    def test_odd_block_dimension_is_2(self, capsys, no_enumeration):
         assert main(["lagrangians", "--dim", "6", "--blocks", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration error" in captured.err
+
+    def test_dim_above_cap_is_2(self, capsys, no_enumeration):
+        assert main(["lagrangians", "--dim", "8"]) == 2
+        assert "capped at 6" in capsys.readouterr().err
 
     def test_bad_gram_file_is_3(self, tmp_path, capsys):
         gram = tmp_path / "gram.json"

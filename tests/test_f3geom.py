@@ -30,6 +30,27 @@ def brute_subspace_count(ambient, d):
     return len(seen)
 
 
+def block_projections(space, sub):
+    return [
+        Subspace.span([[row[j] for j in space.block_range(i)] for row in sub.basis], space.block_dim)
+        for i in range(space.n_blocks)
+    ]
+
+
+def brute_coordinatewise(space):
+    """Reference: every half-dimensional subspace whose block projections are
+    Lagrangians of their blocks, by filtering the full enumeration."""
+    blocks = [QuadSpace(space.block_dim, space.block_gram(i)) for i in range(space.n_blocks)]
+    return [
+        w
+        for w in enumerate_subspaces(space, space.dim // 2)
+        if all(
+            p.dim == space.block_dim // 2 and is_totally_isotropic(blk, p)
+            for blk, p in zip(blocks, block_projections(space, w))
+        )
+    ]
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2) == 130
     assert gaussian_binomial(4, 0) == 1
@@ -94,6 +115,8 @@ def test_quadspace_validation():
     with pytest.raises(ValueError):
         QuadSpace(4, hyperbolic_space(4).gram, n_blocks=3)
     with pytest.raises(ValueError):
+        hyperbolic_space(8)
+    with pytest.raises(ValueError):
         hyperbolic_space(10)
 
 
@@ -135,14 +158,40 @@ def test_lagrangians_are_isotropic_half_dim():
                 assert space.pairing(u, v) == 0
 
 
-def test_coordinatewise_lagrangians_are_products():
-    space = hyperbolic_space(4, n_blocks=2)
+@pytest.mark.parametrize(
+    "space, count",
+    [
+        (hyperbolic_space(4, n_blocks=2), 4),
+        (hyperbolic_space(6, n_blocks=3), 8),
+        (QuadSpace(4, ((0, 1, 1, 0), (1, 0, 2, 1), (1, 2, 1, 0), (0, 1, 0, 2)), 2), 4),
+        # block 0 is x^2 + y^2, which is anisotropic over F3
+        (QuadSpace(4, ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 1)), 2), 0),
+        (
+            QuadSpace(
+                6,
+                (
+                    (0, 1, 1, 0, 0, 2),
+                    (1, 0, 0, 1, 1, 0),
+                    (1, 0, 1, 0, 0, 1),
+                    (0, 1, 0, 2, 2, 0),
+                    (0, 1, 0, 2, 0, 1),
+                    (2, 0, 1, 0, 1, 1),
+                ),
+                3,
+            ),
+            8,
+        ),
+    ],
+    ids=["hyp-4-2", "hyp-6-3", "offdiag-4-2", "anisotropic-4-2", "offdiag-6-3"],
+)
+def test_coordinatewise_lagrangians_are_products(space, count):
     coord = coordinatewise_lagrangians(space)
-    assert len(coord) == 4
-    # every coordinatewise one is a genuine Lagrangian of a block-diagonal form
-    full = set(lagrangians(space))
-    assert set(coord) <= full
-    assert len(full) == 8
+    assert coord == brute_coordinatewise(space)
+    assert len(coord) == count
+    k = space.block_dim
+    if all(space.gram[r][c] == 0 for r in range(space.dim) for c in range(space.dim) if r // k != c // k):
+        # with orthogonal blocks every coordinatewise one is a genuine Lagrangian
+        assert set(coord) <= set(lagrangians(space))
 
 
 def test_coordinatewise_single_block_collapses():
@@ -167,6 +216,9 @@ def test_ramified_count_two_blocks():
     space = hyperbolic_space(4, n_blocks=2)
     mark = Subspace.span([(1, 0)], 2)
     ram = ramified_coordinatewise_lagrangians(space, [mark, mark])
+    assert ram == [
+        w for w in brute_coordinatewise(space) if mark not in block_projections(space, w)
+    ]
     assert len(ram) == 1
     lone = ram[0]
     assert lone.contains((0, 1, 0, 0)) and lone.contains((0, 0, 0, 1))

@@ -90,11 +90,7 @@ class TestLnSequence:
 class TestCubics:
     def test_element_validation(self):
         with pytest.raises(ConfigError):
-            FanElement((7, 5), 1, 35, "x^3 - 35")
-        with pytest.raises(ConfigError):
-            FanElement((5, 7), 1, 36, "x^3 - 36")
-        with pytest.raises(ConfigError):
-            FanElement((5, 7), 1, 35, "x^3 - 36")
+            FanElement((7, 5), 1)
 
     def test_lift_count_multiplicative(self):
         recs = records_upto(50)
@@ -205,12 +201,10 @@ class TestFanDistribution:
             fan_distribution(FIX, 2, 2, 40.0, growth, 1.0, 1000, seed=1, records=recs)
 
     def test_sampling_path_runs(self):
-        # m above the enumeration limit goes through rejection sampling;
+        # m above 3 goes through rejection sampling;
         # a constant bound keeps the support small
         growth = parse_growth("affine:0,30")
         recs = records_upto(30)
-        emp = fan_distribution(
-            FIX, 4, 2, 1.0, growth, 1.0, 2000, seed=17, records=recs, enumeration_limit=3
-        )
+        emp = fan_distribution(FIX, 4, 2, 1.0, growth, 1.0, 2000, seed=17, records=recs)
         assert emp.total() + emp.truncation_error == pytest.approx(1.0, abs=1e-9)
         assert all(s % 2 == 0 for s in emp.support())
