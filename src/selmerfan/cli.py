@@ -4,7 +4,7 @@ Every subcommand produces a Report: a meta block (version, echoed config,
 timestamp, cache checksum) plus a deterministic payload. With --out the
 full report lands as JSON via a temp-file rename; without it the payload
 goes to stdout, as CSV when the command is tabular. Exit codes: 0 success,
-2 configuration, 3 data, 4 internal consistency.
+1 stdout closed early, 2 configuration, 3 data, 4 internal consistency.
 """
 from __future__ import annotations
 
@@ -481,7 +481,15 @@ def main(argv=None) -> int:
         config = parse_args(argv)
         report = run(config)
         emit(report, config)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

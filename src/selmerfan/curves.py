@@ -1,15 +1,16 @@
 """Mod-3 torsion data and prime classification for elliptic curves over Q.
 
 For a curve y^2 = x^3 + Ax + B and a good prime p > 3 this module computes
-the Frobenius trace a_p by a quadratic character sum, the F3-dimension of
-the 3-torsion over F_p and over F_{p^2} from the F_p roots of the 3-division
-polynomial, and the derived class data (splitting in the quadratic
-cyclotomic field, support flags, Frobenius conjugacy class).
+the Frobenius trace a_p by a quadratic character sum, the conjugacy class
+of Frobenius on E[3] in GL2(F3), and what that class determines: the
+F3-dimensions of the 3-torsion over F_p and over F_{p^2} (the fixed
+dimensions of Frobenius and of its square), splitting in the quadratic
+cyclotomic field and the support flags.
 
-All polynomial work stays in F_p[x]. The quadratic extension needs no
-arithmetic of its own: its 3-torsion is that of the curve plus that of
-the quadratic twist over F_p, and both are read from the same roots.
-Point counting is the naive O(p) sum, capped at p <= 10^6.
+Trace a_p and determinant p mod 3 pick the class, except where a scalar
+and a unipotent class both fit; one test, x^p = x modulo the 3-division
+polynomial, tells those two apart. Point counting is the naive O(p) sum,
+capped at p <= 10^6.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .gl2f3 import ConjClass, match_class
+from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim, mul
 
 MAX_PRIME = 10**6
-DIRECT_SCAN_LIMIT = 10**4
 
 
 class ReductionError(ConfigError):
@@ -119,202 +119,74 @@ def division_poly_3(curve: CurveQ) -> tuple[int, int, int, int, int]:
     return (-A * A, 12 * B, 6 * A, 0, 3)
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p, ascending coefficient lists
-
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _padd(a, b, p):
-    out = [0] * max(len(a), len(b))
+def _pmulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a * b modulo the monic mod over F_p; ascending lists of length deg(mod)."""
+    n = len(mod) - 1
+    r = [0] * (2 * n - 1)
     for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p
-    return _ptrim(out)
+        for j, y in enumerate(b):
+            r[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = r[k] % p
+        for i in range(n):
+            r[k - n + i] -= c * mod[i]
+    return [c % p for c in r[:n]]
 
 
-def _psub(a, b, p):
-    return _padd(a, [(-y) % p for y in b], p)
+def _psi3_splits(curve: CurveQ, p: int) -> bool:
+    """Whether x^p = x modulo the 3-division polynomial over F_p.
 
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    r = _ptrim([x % p for x in a])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(0, len(r) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        coef = r[-1] * inv_lead % p
-        q[shift] = coef
-        for i, y in enumerate(b):
-            r[i + shift] = (r[i + shift] - coef * y) % p
-        _ptrim(r)
-    return _ptrim(q), r
-
-
-def _pgcd(a, b, p):
-    """Monic gcd in F_p[x]."""
-    a = _ptrim([x % p for x in a])
-    b = _ptrim([x % p for x in b])
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _pmulmod(a, b, mod, p):
-    return _pdivmod(_pmul(a, b, p), mod, p)[1]
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
+    The quartic has distinct roots at a good prime, so this holds exactly
+    when all four of its roots lie in F_p.
+    """
+    inv3 = pow(3, -1, p)
+    psi = [c * inv3 % p for c in division_poly_3(curve)]
+    x = [0, 1, 0, 0]
+    result, base, e = [1, 0, 0, 0], x, p
     while e:
         if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
+            result = _pmulmod(result, base, psi, p)
+        base = _pmulmod(base, base, psi, p)
         e >>= 1
-    return result
+    return result == x
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
+    """The conjugacy class of Frobenius on E[3] in GL2(F3).
 
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the residue a mod p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if _legendre(a, p) != 1:
-        raise ConsistencyError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _roots_of_split_poly(g, p):
-    """Roots of a monic product of distinct linear factors over F_p."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % p]
-    if deg == 2:
-        disc = (g[1] * g[1] - 4 * g[0]) % p
-        s = _sqrt_mod(disc, p)
-        inv2 = pow(2, -1, p)
-        return sorted({(-g[1] + s) * inv2 % p, (-g[1] - s) * inv2 % p})
-    e = (p - 1) // 2
-    for c in range(min(p, 512)):
-        w = _ppowmod([c, 1], e, g, p)
-        d = _pgcd(_psub(w, [1], p), g, p)
-        if 0 < len(d) - 1 < deg:
-            rest = _pdivmod(g, d, p)[0]
-            return sorted(_roots_of_split_poly(d, p) + _roots_of_split_poly(rest, p))
-    raise ConsistencyError(f"could not split a degree-{deg} polynomial mod {p}")
-
-
-def _monic_psi3(curve: CurveQ, p: int) -> list[int]:
-    inv3 = pow(3, -1, p)
-    return [c % p * inv3 % p for c in division_poly_3(curve)]
-
-
-def _psi3_fp_roots(curve: CurveQ, p: int) -> list[int]:
-    """Distinct F_p roots of the 3-division polynomial, ascending."""
-    if p <= DIRECT_SCAN_LIMIT:
-        c0, c1, c2, _, c4 = (c % p for c in division_poly_3(curve))
-        xs = np.arange(p, dtype=np.int64)
-        x2 = xs * xs % p
-        val = (c4 * (x2 * x2 % p) + c2 * x2 + c1 * xs + c0) % p
-        roots = [int(r) for r in np.nonzero(val == 0)[0]]
-    else:
-        psi = _monic_psi3(curve, p)
-        xp = _ppowmod([0, 1], p, psi, p)
-        g = _pgcd(_psub(xp, [0, 1], p), psi, p)
-        roots = _roots_of_split_poly(g, p)
-    if len(roots) not in (0, 1, 2, 4):
-        raise ConsistencyError(
-            f"3-division polynomial has {len(roots)} roots mod {p}, expected 0/1/2/4"
-        )
-    return roots
-
-
-def _torsion_count_to_dim(t: int, p: int) -> int:
-    if t not in (0, 2, 8):
-        raise ConsistencyError(f"nonzero 3-torsion point count {t} at p = {p} not in {{0, 2, 8}}")
-    return {0: 0, 2: 1, 8: 2}[t]
+    Trace a_p and determinant p mod 3 pin the class, except that a scalar
+    (+-I) and a +-unipotent class share trace and determinant. A scalar
+    fixes every line of E[3], so all four x-coordinates of its nonzero
+    points are rational; a +-unipotent fixes exactly one line. The fixed
+    dimensions of the class and of its square are checked against the
+    point counts p + 1 - a_p of the curve and p + 1 + a_p of its
+    quadratic twist.
+    """
+    _check_prime(curve, p)
+    fits = [c for c in conjugacy_classes() if c.trace == ap_value % 3 and c.det == p % 3]
+    if len(fits) > 1:
+        scalar = _psi3_splits(curve, p)
+        fits = [c for c in fits if (c.size == 1) == scalar]
+    if len(fits) != 1:
+        raise ConsistencyError(f"{len(fits)} Frobenius classes fit a_p = {ap_value} at p = {p}")
+    cls = fits[0]
+    g = cls.representative
+    dim, dim2 = cls.fixed_dim, fixed_dim(mul(g, g))
+    if (p + 1 - ap_value) % 3**dim:
+        raise ConsistencyError(f"3^{dim} does not divide the point count at p = {p}")
+    if (p + 1 + ap_value) % 3 ** (dim2 - dim):
+        raise ConsistencyError(f"3^{dim2 - dim} does not divide the twist's point count at p = {p}")
+    return cls
 
 
 def _torsion_dims(curve: CurveQ, p: int, ap_value: int | None = None) -> tuple[int, int]:
-    """F3-dimensions of the 3-torsion rational over F_p and over F_{p^2}.
-
-    Frobenius g has eigenvalues +1 and -1 on E[3], distinct mod 3, so the
-    F_{p^2}-rational part ker(g^2 - 1) is ker(g - 1) + ker(g + 1). An F_p
-    root r of the division polynomial gives two points of ker(g - 1) when
-    r^3 + Ar + B is a square mod p, and two of ker(g + 1), the 3-torsion
-    of the quadratic twist, when it is not. Both dimensions are checked
-    against the point counts p + 1 - a_p and p + 1 + a_p.
-    """
-    _check_prime(curve, p)
-    A, B = curve.A % p, curve.B % p
-    t = t_twist = 0
-    for r in _psi3_fp_roots(curve, p):
-        fr = (pow(r, 3, p) + A * r + B) % p
-        ls = _legendre(fr, p)
-        if ls == 0:
-            raise ConsistencyError(f"3-division root {r} mod {p} lies on the 2-torsion locus")
-        if ls == 1:
-            t += 2
-        else:
-            t_twist += 2
-    dim = _torsion_count_to_dim(t, p)
-    dim_twist = _torsion_count_to_dim(t_twist, p)
+    """F3-dimensions of the 3-torsion rational over F_p and over F_{p^2}:
+    the fixed dimensions of Frobenius and of its square."""
     if ap_value is None:
         ap_value = ap(curve, p)
-    if (p + 1 - ap_value) % 3**dim:
-        raise ConsistencyError(f"3^{dim} does not divide the point count at p = {p}")
-    if (p + 1 + ap_value) % 3**dim_twist:
-        raise ConsistencyError(f"3^{dim_twist} does not divide the twist's point count at p = {p}")
-    return dim, dim + dim_twist
+    cls = _frobenius_class(curve, p, ap_value)
+    g = cls.representative
+    return cls.fixed_dim, fixed_dim(mul(g, g))
 
 
 def dim3_fp(curve: CurveQ, p: int, ap_value: int | None = None) -> int:
@@ -331,8 +203,6 @@ def classify_prime(curve: CurveQ, p: int) -> PrimeClassRecord:
     """Full local record at p: trace, torsion dimensions, class data."""
     a = ap(curve, p)
     d1, d2 = _torsion_dims(curve, p, a)
-    if d1 == 2 and p % 3 != 1:
-        raise ConsistencyError(f"full 3-torsion over F_{p} but p != 1 mod 3")
     split = p % 3 == 1
     return PrimeClassRecord(
         label=curve.label or "",
@@ -350,12 +220,10 @@ def classify_prime(curve: CurveQ, p: int) -> PrimeClassRecord:
 def frobenius_class(curve: CurveQ, p: int) -> ConjClass:
     """The conjugacy class of Frobenius acting on the 3-torsion.
 
-    Pinned by four data points: trace and determinant mod 3 and the fixed
-    dimensions of the action and of its square. Exactly one class matches
-    on every good prime; anything else raises.
+    Read off the trace and determinant mod 3, with one test on the
+    3-division polynomial where a scalar and a unipotent class both fit.
     """
-    rec = classify_prime(curve, p)
-    return match_class(rec.a_p % 3, p % 3, rec.dim_fp, rec.dim_fp2)
+    return _frobenius_class(curve, p, ap(curve, p))
 
 
 def _classify_worker(args):

@@ -2,7 +2,10 @@
 
 Cache layout: one file per curve label, one canonical JSON object per line,
 keyed by (label, p). Lines are never rewritten; re-runs reuse existing
-entries verbatim and append only what is missing.
+entries verbatim and append only what is missing. A final fragment with no
+newline is a torn append: readers skip it and the next append replaces it.
+A stamp `<label>.curve` next to `<label>.jsonl` holds the curve's `A,B`,
+so a cache built for another curve under the same label is refused.
 """
 from __future__ import annotations
 
@@ -81,6 +84,8 @@ def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
         return out
     with open(path, encoding="utf-8") as fh:
         for line in fh:
+            if not line.endswith("\n"):
+                break
             if not line.strip():
                 continue
             rec = line_to_record(line)
@@ -96,9 +101,12 @@ def append_records(path: str, records: list[PrimeClassRecord]) -> int:
     fresh = [r for r in records if (r.label, r.p) not in existing]
     if fresh:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            for rec in fresh:
-                fh.write(record_to_line(rec))
+        with open(path, "ab+") as fh:
+            fh.seek(0)
+            data = fh.read()
+            if not data.endswith(b"\n"):  # drop the fragment of a torn append
+                fh.truncate(data.rfind(b"\n") + 1)
+            fh.write("".join(record_to_line(rec) for rec in fresh).encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
     return len(fresh)
@@ -114,6 +122,21 @@ def cache_checksum(path: str) -> str | None:
     return digest.hexdigest()
 
 
+def _check_curve_stamp(curve: CurveQ, path: str) -> None:
+    """Refuse a cache stamped with another curve; stamp an unstamped one."""
+    stamp_path = os.path.splitext(path)[0] + ".curve"
+    stamp = f"{curve.A},{curve.B}\n"
+    if os.path.exists(stamp_path):
+        with open(stamp_path, encoding="utf-8") as fh:
+            found = fh.read()
+        if found != stamp:
+            raise DataError(f"cache {path} is for curve {found.strip()}, not {stamp.strip()}")
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(stamp_path, "w", encoding="utf-8") as fh:
+        fh.write(stamp)
+
+
 def ensure_classified(
     curve: CurveQ,
     max_prime: int,
@@ -123,8 +146,10 @@ def ensure_classified(
     """Classification records up to max_prime, reusing and extending the cache.
 
     Returns the by-prime record map and the number of freshly computed
-    entries (0 on a warm cache).
+    entries (0 on a warm cache). Raises DataError if the cache is stamped
+    with another curve.
     """
+    _check_curve_stamp(curve, path)
     label = curve.label or ""
     cached = load_records(path)
     have = {p: rec for (lab, p), rec in cached.items() if lab == label}

@@ -1,10 +1,14 @@
 """End-to-end command-line behaviour: exit codes, reports, reproducibility."""
+import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import selmerfan
 from selmerfan.cli import RunConfig, main, parse_synthetic, run
 from selmerfan.errors import ConfigError
 
@@ -136,6 +140,26 @@ class TestReportDeterminism:
         assert b["payload"]["reused"] == b["payload"]["records"]
         assert b["meta"]["cache_checksum"]
 
+    def test_cache_for_another_curve_is_3(self, tmp_path, capsys, curve_file, cache_dir):
+        argv = ["--label", "fix", "--max-prime", "200"]
+        assert main(["classify", "--curve-file", curve_file] + argv) == 0
+        other = tmp_path / "other.csv"
+        other.write_text("fix,2,3\n")
+        capsys.readouterr()
+        assert main(["densities", "--curve-file", str(other)] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error" in captured.err
+
+    def test_torn_last_cache_line_is_replaced(self, tmp_path, capsys, curve_file, cache_dir):
+        argv = ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "300"]
+        cache_file = os.path.join(cache_dir, "fix.jsonl")
+        assert main(argv) == 0
+        clean = hashlib.sha256(open(cache_file, "rb").read()).hexdigest()
+        os.truncate(cache_file, os.path.getsize(cache_file) - 20)
+        assert main(argv) == 0
+        assert hashlib.sha256(open(cache_file, "rb").read()).hexdigest() == clean
+
     def test_atomic_out_leaves_no_temp_files(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"
         out = str(out_dir / "r.json")
@@ -236,6 +260,25 @@ class TestLagrangianCommand:
         gram = tmp_path / "gram.json"
         gram.write_text("not json")
         assert main(["lagrangians", "--dim", "2", "--gram", str(gram)]) == 3
+
+
+class TestClosedStdout:
+    def test_closed_pipe_is_1_without_traceback(self):
+        # a child process, so that pointing fd 1 at devnull cannot touch the
+        # test's own capture; the read end is closed before the child starts,
+        # so its first write fails for certain
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selmerfan.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "selmerfan", "gl2f3-report"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
 
 
 class TestGroupReportCommand:

@@ -219,27 +219,40 @@ class TestAgainstBruteForce:
         npts = len(curve_points(1, 1, 5))
         assert ap(FIX, 5) == 5 + 1 - npts
 
-    @pytest.mark.parametrize("p", [9973, 10007, 10009, 10037])
-    def test_root_counting_paths_agree(self, p):
-        # the quartic root finder switches strategy at 10^4; check both sides
-        # of the cutoff against a plain vectorised scan
+    @pytest.mark.parametrize(
+        "a,b,p",
+        [
+            pytest.param(1, 1, 9973, id="9973"),  # unipotent
+            pytest.param(1, 1, 10007, id="10007"),  # order 2, det -1
+            pytest.param(1, 1, 10009, id="10009"),  # -unipotent
+            pytest.param(1, 1, 10037, id="10037"),  # order 8
+            pytest.param(1, 1, 10111, id="10111"),  # -I
+            pytest.param(1, 1, 10141, id="10141"),  # unipotent
+            pytest.param(0, -432, 10009, id="cm-10009"),  # I
+        ],
+    )
+    def test_root_counting_paths_agree(self, a, b, p):
+        # the dimensions are read off the Frobenius class, with a test on the
+        # 3-division polynomial only where a scalar and a unipotent class
+        # share trace and determinant; check those classes and two others
+        # against a plain vectorised scan of the 3-division roots, where a
+        # root r gives two points of the curve when f(r) is a square and
+        # two of the quadratic twist when it is not
         import numpy as np
 
+        curve = CurveQ(a, b)
+        c0, c1, c2, _, c4 = (c % p for c in division_poly_3(curve))
         xs = np.arange(p, dtype=np.int64)
-        psi = (3 * pow_mod(xs, 4, p) + 6 * pow_mod(xs, 2, p) + 12 * xs - 1) % p
-        roots = xs[psi == 0]
-        torsion = 1
-        for r in roots:
-            f = (int(r) ** 3 + int(r) + 1) % p
-            chi = pow(f, (p - 1) // 2, p)
-            if chi == 1:
-                torsion += 2
-            elif chi == 0:
-                torsion += 1
-        dim = {1: 0, 3: 1, 9: 2}[torsion]
-        assert dim3_fp(FIX, p) == dim
-        a = ap(FIX, p)
-        assert ((p + 1) ** 2 - a * a) % 3 ** dim3_fp2(FIX, p) == 0
+        psi = (c4 * pow_mod(xs, 4, p) + c2 * pow_mod(xs, 2, p) + c1 * xs + c0) % p
+        torsion = {1: 1, p - 1: 1}
+        for r in xs[psi == 0]:
+            f = (int(r) ** 3 + a * int(r) + b) % p
+            torsion[pow(f, (p - 1) // 2, p)] += 2
+        dims = {1: 0, 3: 1, 9: 2}
+        assert dim3_fp(curve, p) == dims[torsion[1]]
+        assert dim3_fp2(curve, p) == dims[torsion[1]] + dims[torsion[p - 1]]
+        x = ap(curve, p)
+        assert ((p + 1) ** 2 - x * x) % 3 ** dim3_fp2(curve, p) == 0
 
 
 class TestStructuralInvariants:
