@@ -67,16 +67,6 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class ChainState:
-    dim: int
-    steps_taken: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ConsistencyError(f"negative dimension {self.dim}")
-
-
-@dataclass(frozen=True)
 class RhoE:
     """Probability that the auxiliary rank starts even."""
 
@@ -107,14 +97,16 @@ def cij(i: int, j: int, r: int) -> float:
         raise ConfigError(f"no transition entry for i={i}, j={j}")
     if r < 0:
         raise ConfigError(f"r must be non-negative, got {r}")
-    x = 3.0 ** (-r)
-    if i == 1:
-        return (x, 1.0 - x, 0.0)[j]
+    return _cij_entry(i, j, 3.0 ** (-r))
+
+
+def _cij_entry(i: int, j: int, x):
+    """Entry (i, j) of cij at x = 3^(-r), for a float or an array of them."""
     if j == 0:
-        return x * x
+        return x if i == 1 else x * x
     if j == 1:
-        return 4.0 * x * (1.0 - x)
-    return (1.0 - x) * (1.0 - 3.0 * x) + 0.0
+        return 1.0 - x if i == 1 else 4.0 * x * (1.0 - x)
+    return 0.0 if i == 1 else (1.0 - x) * (1.0 - 3.0 * x) + 0.0
 
 
 def rank_delta_split(i: int, t: int, lift: int) -> int:
@@ -298,15 +290,11 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
             continue
         r = s >> 1
         x = np.power(3.0, -r.astype(np.float64))
-        delta = np.zeros_like(s)
+        t0 = ut < _cij_entry(i, 0, x)
         if i == 1:
-            t0 = ut < x
             delta = np.where(t0, 2, -2)
         else:
-            p0 = x * x
-            thr2 = 1.0 - (1.0 - x) * (1.0 - 3.0 * x)
-            t0 = ut < p0
-            t2 = ut >= thr2
+            t2 = ut >= 1.0 - _cij_entry(2, 2, x)
             plus4 = t0 & ((ul * 6).astype(np.int64) < 2)
             delta = np.where(t2, -4, np.where(plus4, 4, 0))
         # the i=1 jump table is the same for split and inert primes
@@ -320,45 +308,3 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     values, counts = np.unique(s[kept], return_counts=True)
     mass = {int(v): c / n_kept for v, c in zip(values, counts)}
     return Distribution(mass, initial.s_max, (trials - n_kept) / trials)
-
-
-def _walk_scalar(state: ChainState, element, ut: float, ul: float) -> ChainState:
-    """Single-trial reference step, kept in lockstep with the vector path."""
-    i, is_split = _stream_element(element)
-    if i == 0:
-        return ChainState(state.dim, state.steps_taken + 1)
-    r = r_omega(state.dim)
-    if i == 1:
-        t = 0 if ut < cij(1, 0, r) else 1
-        delta = rank_delta_split(1, t, 0) if is_split else rank_delta_inert(1, t)
-    else:
-        if ut < cij(2, 0, r):
-            t = 0
-        elif ut >= 1.0 - cij(2, 2, r):
-            t = 2
-        else:
-            t = 1
-        delta = rank_delta_split(2, t, int(ul * 6))
-    return ChainState(state.dim + delta, state.steps_taken + 1)
-
-
-def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
-    """Loop-based twin of simulate_chain, for cross-checking the vector path."""
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    elements = list(prime_stream)
-    u = _uniform_matrix(seed, trials, 1 + 2 * len(elements))
-    s0 = _draw_initial(initial, u[:, 0])
-    counts: dict[int, int] = {}
-    dropped = 0
-    for trial in range(trials):
-        st = ChainState(int(s0[trial]))
-        for idx, e in enumerate(elements):
-            st = _walk_scalar(st, e, u[trial, 1 + 2 * idx], u[trial, 2 + 2 * idx])
-        if st.dim > initial.s_max:
-            dropped += 1
-        else:
-            counts[st.dim] = counts.get(st.dim, 0) + 1
-    kept = trials - dropped
-    mass = {s: c / kept for s, c in counts.items()}
-    return Distribution(mass, initial.s_max, dropped / trials)

@@ -247,17 +247,7 @@ def _run_fan(config: RunConfig) -> dict:
         payload["cubics_file"] = config.emit_cubics
     if config.trials is not None:
         _require(config, "seed")
-        emp = fan_distribution(
-            curve,
-            config.m,
-            config.w,
-            config.X,
-            growth,
-            config.rho,
-            config.trials,
-            config.seed,
-            records=records,
-        )
+        emp = fan_distribution(elements, bounds, records, config.rho, config.trials, config.seed)
         reference = evolve(RhoE(config.rho).initial_distribution(), config.w)
         payload.update(_distribution_payload(emp))
         payload["tv_to_evolve"] = emp.tv_distance(reference)

@@ -240,41 +240,25 @@ def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeCl
         return pool.map(_classify_worker, tasks, chunksize=64)
 
 
-def good_primes(curve: CurveQ, max_prime: int, exclude: tuple[int, ...] = ()) -> list[int]:
+def good_primes(curve: CurveQ, max_prime: int) -> list[int]:
     """Good classification-eligible primes 3 < p <= max_prime, ascending."""
-    skip = set(exclude)
-    return [
-        p
-        for p in primes_upto(max_prime)
-        if p > 3 and curve.discriminant % p != 0 and p not in skip
-    ]
+    if max_prime > MAX_PRIME:
+        raise ConfigError(f"max_prime = {max_prime} exceeds the supported bound {MAX_PRIME}")
+    return [p for p in primes_upto(max_prime) if p > 3 and curve.discriminant % p != 0]
 
 
-def classify_range(
-    curve: CurveQ,
-    max_prime: int,
-    jobs: int = 1,
-    exclude: tuple[int, ...] = (),
-) -> list[PrimeClassRecord]:
+def classify_range(curve: CurveQ, max_prime: int) -> list[PrimeClassRecord]:
     """Records for every good prime 3 < p <= max_prime, ascending."""
-    return classify_primes(curve, good_primes(curve, max_prime, exclude), jobs)
+    return classify_primes(curve, good_primes(curve, max_prime))
 
 
-def density_report(
-    curve: CurveQ,
-    max_prime: int,
-    jobs: int = 1,
-    records: list[PrimeClassRecord] | None = None,
-) -> dict:
-    """Empirical class frequencies against the group-theoretic predictions."""
+def density_report(curve: CurveQ, max_prime: int, records: list[PrimeClassRecord]) -> dict:
+    """Class frequencies of the records up to max_prime against the GL2(F3) predictions."""
     from .gl2f3 import fixed_dim_density
 
     if max_prime < 100:
         raise ConfigError("density report needs max_prime >= 100")
-    if records is None:
-        records = classify_range(curve, max_prime, jobs=jobs)
-    else:
-        records = sorted((r for r in records if r.p <= max_prime), key=lambda r: r.p)
+    records = sorted((r for r in records if r.p <= max_prime), key=lambda r: r.p)
     split = [r for r in records if r.split_in_F]
     inert = [r for r in records if not r.split_in_F]
     rows = []

@@ -10,13 +10,14 @@ Selmer-dimension law.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import Distribution, RhoE, simulate_chain
-from .curves import CurveQ, PrimeClassRecord, classify_range, primes_upto
+from .curves import CurveQ, PrimeClassRecord, good_primes
 from .errors import ConfigError, DataError
 
 
@@ -144,29 +145,9 @@ def lift_count(elem: FanElement) -> int:
     return 6**elem.m
 
 
-def _coverage_records(
-    curve: CurveQ,
-    bound: float,
-    records: dict[int, PrimeClassRecord] | None,
-) -> dict[int, PrimeClassRecord]:
-    """Records for every good prime below the bound, or a gap report."""
-    from .curves import MAX_PRIME
-
-    top = math.ceil(bound) - 1
-    if top > MAX_PRIME:
-        raise ConfigError(
-            f"norm bounds need primes up to {top}, beyond the supported {MAX_PRIME}"
-        )
-    if records is None:
-        return {r.p: r for r in classify_range(curve, top)}
-    needed = [p for p in primes_upto(top) if p > 3 and curve.discriminant % p != 0]
-    missing = [p for p in needed if p not in records]
-    if missing:
-        raise DataError(
-            f"classification cache is missing {len(missing)} primes in "
-            f"[{missing[0]}, {missing[-1]}]; classify up to {math.ceil(bound)} first"
-        )
-    return records
+def _support(bounds: list[float], records: dict[int, PrimeClassRecord]) -> list[int]:
+    """Support primes below the last bound, ascending: the primes a fan draws from."""
+    return [p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support]
 
 
 def enumerate_fan(
@@ -175,24 +156,27 @@ def enumerate_fan(
     w: int,
     X: float,
     L: GrowthFn,
-    records: dict[int, PrimeClassRecord] | None = None,
+    records: dict[int, PrimeClassRecord],
 ) -> list[FanElement]:
     """All weight-w support tuples under the positional bounds, sorted.
 
     A sorted tuple is admissible when q_j < L_j(X) position by position;
     the bounds are nondecreasing, so this is exactly the existence of an
-    assignment of primes to positions. Pass cached records to avoid
-    re-classification; a gap in them is an error, not a silent shrink.
+    assignment of primes to positions. The records must cover every good
+    prime below the last bound; a gap in them is an error, not a silent shrink.
     """
     if m < 1:
         raise ConfigError(f"fan needs m >= 1, got {m}")
     if w < 0 or w > m:
         raise ConfigError(f"weight must lie in 0..{m}, got {w}")
     bounds = ln_sequence(L, X, m)
-    records = _coverage_records(curve, bounds[-1], records)
-    support = [
-        p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support
-    ]
+    missing = [p for p in good_primes(curve, math.ceil(bounds[-1]) - 1) if p not in records]
+    if missing:
+        raise DataError(
+            f"classification cache is missing {len(missing)} primes in "
+            f"[{missing[0]}, {missing[-1]}]; classify up to {math.ceil(bounds[-1])} first"
+        )
+    support = _support(bounds, records)
     out: list[FanElement] = []
 
     def extend(start: int, pos: int, picked: list[int], weight: int) -> None:
@@ -221,8 +205,7 @@ def _substream_seed(seed: int, tag: int, idx: int = 0) -> int:
 
 
 def _sample_elements(
-    m: int,
-    w: int,
+    elements: list[FanElement],
     bounds: list[float],
     records: dict[int, PrimeClassRecord],
     count: int,
@@ -231,75 +214,66 @@ def _sample_elements(
     """Uniform fan elements by rejection from sorted support m-subsets.
 
     Proposals are uniform over all strictly increasing m-tuples of support
-    primes below the last bound; acceptance keeps exactly the admissible
-    weight-w tuples, so accepted draws are uniform over the fan.
+    primes below the last bound; a proposal is accepted when it is a fan
+    element, found by bisection in the sorted list, so accepted draws are
+    uniform over the fan.
     """
-    support = [p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support]
-    if len(support) < m:
-        raise ConfigError("support has fewer primes than fan positions")
+    support = _support(bounds, records)
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 1)))
     )
     out: list[FanElement] = []
-    attempts = 0
     limit = 10_000 * max(1, count)
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise DataError(
-                f"rejection sampling accepted only {len(out)} of {count} "
-                f"elements after {limit} proposals"
-            )
-        picked = sorted(gen.choice(len(support), size=m, replace=False))
-        qs = [support[i] for i in picked]
-        if any(q >= bounds[j] for j, q in enumerate(qs)):
-            continue
-        if sum(records[q].dim_fp for q in qs) != w:
-            continue
-        out.append(make_element(tuple(qs), records))
-    return out
+    for _ in range(limit):
+        picked = sorted(gen.choice(len(support), size=len(bounds), replace=False))
+        qs = tuple(support[i] for i in picked)
+        k = bisect.bisect_left(elements, qs, key=lambda e: e.primes)
+        if k < len(elements) and elements[k].primes == qs:
+            out.append(elements[k])
+            if len(out) == count:
+                return out
+    raise DataError(
+        f"rejection sampling accepted only {len(out)} of {count} "
+        f"elements after {limit} proposals"
+    )
 
 
 def fan_distribution(
-    curve: CurveQ,
-    m: int,
-    w: int,
-    X: float,
-    L: GrowthFn,
+    elements: list[FanElement],
+    bounds: list[float],
+    records: dict[int, PrimeClassRecord],
     rho: float | RhoE,
     trials: int,
     seed: int,
-    records: dict[int, PrimeClassRecord] | None = None,
 ) -> Distribution:
-    """Empirical final-dimension law over the fan, lifts sampled per prime.
+    """Empirical final-dimension law over a fan, lifts sampled per prime.
 
-    Small fans (m up to 3) are enumerated and trials are
-    spread across all elements as evenly as possible; larger fans draw a
-    uniform batch of elements by rejection. Each element's primes replay
-    through the rank walk on an element-specific substream.
+    Takes the fan as enumerate_fan listed it under the positional bounds,
+    with the records it was enumerated from; m is the number of bounds.
+    Small fans (m up to 3) spread the trials across all elements as evenly
+    as possible; larger fans draw a uniform batch of elements by rejection.
+    Each element's primes replay through the rank walk on an
+    element-specific substream. An empty fan raises before any draw: a
+    DataError for m >= 4 over at least m support primes, else a ConfigError.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
-    if m < 1:
-        raise ConfigError(f"fan needs m >= 1, got {m}")
     rho_e = rho if isinstance(rho, RhoE) else RhoE(float(rho))
     initial = rho_e.initial_distribution()
-    bounds = ln_sequence(L, X, m)
-    records = _coverage_records(curve, bounds[-1], records)
-    if m <= 3:
-        elements = enumerate_fan(curve, m, w, X, L, records)
-        if not elements:
-            raise ConfigError(
-                f"empty fan: no admissible weight-{w} tuples of {m} primes below X={X}"
-            )
-        if len(elements) > trials:
-            gen = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
-            )
-            keep = sorted(gen.choice(len(elements), size=trials, replace=False))
-            elements = [elements[i] for i in keep]
-    else:
-        elements = _sample_elements(m, w, bounds, records, min(trials, 256), seed)
+    m = len(bounds)
+    if not elements:
+        small = m <= 3 or len(_support(bounds, records)) < m
+        raise (ConfigError if small else DataError)(
+            f"empty fan: no admissible tuples of {m} primes below {bounds[-1]:g}"
+        )
+    if m > 3:
+        elements = _sample_elements(elements, bounds, records, min(trials, 256), seed)
+    elif len(elements) > trials:
+        gen = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
+        )
+        keep = sorted(gen.choice(len(elements), size=trials, replace=False))
+        elements = [elements[i] for i in keep]
     base, extra = divmod(trials, len(elements))
     allocation = [base + (1 if i < extra else 0) for i in range(len(elements))]
     merged: dict[int, float] = {}

@@ -149,11 +149,11 @@ def ensure_classified(
     entries (0 on a warm cache). Raises DataError if the cache is stamped
     with another curve.
     """
+    needed = good_primes(curve, max_prime)
     _check_curve_stamp(curve, path)
     label = curve.label or ""
     cached = load_records(path)
     have = {p: rec for (lab, p), rec in cached.items() if lab == label}
-    needed = good_primes(curve, max_prime)
     missing = [p for p in needed if p not in have]
     fresh = classify_primes(curve, missing, jobs=jobs)
     append_records(path, fresh)

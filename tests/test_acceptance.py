@@ -23,7 +23,7 @@ from selmerfan.chain import (
     tail_constant,
     tail_exact,
 )
-from selmerfan.curves import CurveQ, classify_range
+from selmerfan.curves import CurveQ, classify_primes, classify_range, good_primes
 from selmerfan.f3geom import (
     Subspace,
     enumerate_subspaces,
@@ -46,7 +46,7 @@ _CLASSIFIED: dict[int, list] = {}
 def classified(jobs: int):
     if jobs not in _CLASSIFIED:
         t0 = time.perf_counter()
-        _CLASSIFIED[jobs] = classify_range(FIXTURE, 10**5, jobs=jobs)
+        _CLASSIFIED[jobs] = classify_primes(FIXTURE, good_primes(FIXTURE, 10**5), jobs=jobs)
         _CLASSIFIED[f"t{jobs}"] = time.perf_counter() - t0
     return _CLASSIFIED[jobs]
 

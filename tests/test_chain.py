@@ -1,5 +1,6 @@
 """Rank-walk operator, stationary laws, tail bounds, Monte Carlo twins."""
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from selmerfan.chain import (
     Distribution,
     RhoE,
+    _draw_initial,
+    _stream_element,
+    _uniform_matrix,
     cij,
     evolve,
     ml_step,
@@ -16,7 +20,6 @@ from selmerfan.chain import (
     rank_delta_split,
     rho,
     simulate_chain,
-    simulate_chain_scalar,
     stationary,
     tail_bound,
     tail_constant,
@@ -300,6 +303,58 @@ class TestOperatorProperties:
                 rebuilt[t] = rebuilt.get(t, 0.0) + mass * m
         for t, m in rebuilt.items():
             assert stepped.pmf(t) == pytest.approx(m, abs=1e-12)
+
+
+@dataclass(frozen=True)
+class ChainState:
+    dim: int
+    steps_taken: int = 0
+
+    def __post_init__(self) -> None:
+        if self.dim < 0:
+            raise ConsistencyError(f"negative dimension {self.dim}")
+
+
+def _walk_scalar(state: ChainState, element, ut: float, ul: float) -> ChainState:
+    """Single-trial reference step, built on the library's cij and rank deltas."""
+    i, is_split = _stream_element(element)
+    if i == 0:
+        return ChainState(state.dim, state.steps_taken + 1)
+    r = r_omega(state.dim)
+    if i == 1:
+        t = 0 if ut < cij(1, 0, r) else 1
+        delta = rank_delta_split(1, t, 0) if is_split else rank_delta_inert(1, t)
+    else:
+        if ut < cij(2, 0, r):
+            t = 0
+        elif ut >= 1.0 - cij(2, 2, r):
+            t = 2
+        else:
+            t = 1
+        delta = rank_delta_split(2, t, int(ul * 6))
+    return ChainState(state.dim + delta, state.steps_taken + 1)
+
+
+def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
+    """Loop-based twin of simulate_chain on the same uniforms: the oracle for the vector path."""
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    elements = list(prime_stream)
+    u = _uniform_matrix(seed, trials, 1 + 2 * len(elements))
+    s0 = _draw_initial(initial, u[:, 0])
+    counts: dict[int, int] = {}
+    dropped = 0
+    for trial in range(trials):
+        state = ChainState(int(s0[trial]))
+        for idx, e in enumerate(elements):
+            state = _walk_scalar(state, e, u[trial, 1 + 2 * idx], u[trial, 2 + 2 * idx])
+        if state.dim > initial.s_max:
+            dropped += 1
+        else:
+            counts[state.dim] = counts.get(state.dim, 0) + 1
+    kept = trials - dropped
+    mass = {s: c / kept for s, c in counts.items()}
+    return Distribution(mass, initial.s_max, dropped / trials)
 
 
 class TestSimulation:

@@ -68,6 +68,35 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    @pytest.fixture
+    def no_point_counts(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("ap called")
+
+        monkeypatch.setattr("selmerfan.curves.ap", refuse)
+
+    def test_classify_past_prime_cap_is_2_before_any_work(
+        self, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        rc = main(
+            ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "1000003"]
+        )
+        assert rc == 2
+        assert "exceeds the supported bound" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    def test_fan_past_prime_cap_is_2_before_any_work(
+        self, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        # the second norm bound is 1001^2, just past the cap of 10^6
+        rc = main(
+            ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "1",
+             "--X", "1001", "--growth", "pow:1"]
+        )
+        assert rc == 2
+        assert "exceeds the supported bound" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -220,6 +249,34 @@ class TestFanCommand:
         rc = main(
             ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "2",
              "--X", "40", "--growth", "log", "--trials", "100", "--seed", "1"]
+        )
+        assert rc == 2
+        assert "empty fan" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_proposals(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("Philox called")
+
+        monkeypatch.setattr("numpy.random.Philox", refuse)
+
+    def test_empty_large_fan_is_3_without_proposals(
+        self, capsys, curve_file, cache_dir, no_proposals
+    ):
+        rc = main(
+            ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "4", "--w", "2",
+             "--X", "5", "--growth", "pow:1", "--trials", "4", "--seed", "1"]
+        )
+        assert rc == 3
+        assert "empty fan" in capsys.readouterr().err
+
+    def test_large_fan_over_too_few_primes_is_2(
+        self, capsys, curve_file, cache_dir, no_proposals
+    ):
+        # every bound is 12, and 5, 7 and 11 are the only support primes below it
+        rc = main(
+            ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "4", "--w", "2",
+             "--X", "1", "--growth", "affine:0,12", "--trials", "4", "--seed", "1"]
         )
         assert rc == 2
         assert "empty fan" in capsys.readouterr().err

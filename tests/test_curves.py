@@ -349,7 +349,7 @@ class TestClassification:
 
 class TestDensityReport:
     def test_shape_and_mass(self):
-        report = density_report(FIX, 2000)
+        report = density_report(FIX, 2000, classify_range(FIX, 2000))
         assert report["primes"] > 0
         split_rows = [r for r in report["rows"] if r["coset"] == "split"]
         assert sum(r["empirical"] for r in split_rows) == pytest.approx(1.0)
@@ -358,11 +358,11 @@ class TestDensityReport:
         assert report["inert_order2"]["predicted"] == 0.5
 
     def test_reuses_supplied_records(self):
-        recs = classify_range(FIX, 1500)
-        a = density_report(FIX, 1500, records=recs)
-        b = density_report(FIX, 1500)
+        # records above max_prime are ignored
+        a = density_report(FIX, 1500, records=classify_range(FIX, 3000))
+        b = density_report(FIX, 1500, records=classify_range(FIX, 1500))
         assert a == b
 
     def test_small_range_rejected(self):
         with pytest.raises(ConfigError):
-            density_report(FIX, 50)
+            density_report(FIX, 50, [])

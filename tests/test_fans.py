@@ -179,32 +179,48 @@ class TestEnumerateFan:
             enumerate_fan(FIX, 2, 3, 30.0, growth, recs)
 
 
+def fan_law(m, w, X, growth, recs, trials, seed):
+    """The walk law of the fan, sampled from the list enumerate_fan built."""
+    elements = enumerate_fan(FIX, m, w, X, growth, recs)
+    return fan_distribution(elements, ln_sequence(growth, X, m), recs, 1.0, trials, seed)
+
+
 class TestFanDistribution:
     def test_tracks_exact_law(self):
         growth = parse_growth("pow:1")
         recs = records_upto(1600)
-        emp = fan_distribution(FIX, 2, 2, 40.0, growth, 1.0, 30_000, seed=11, records=recs)
+        emp = fan_law(2, 2, 40.0, growth, recs, 30_000, seed=11)
         exact = evolve(Distribution.point_mass(0), 2)
         assert emp.tv_distance(exact) < 0.03
 
     def test_deterministic(self):
         growth = parse_growth("pow:1")
         recs = records_upto(1600)
-        a = fan_distribution(FIX, 2, 2, 40.0, growth, 1.0, 5000, seed=3, records=recs)
-        b = fan_distribution(FIX, 2, 2, 40.0, growth, 1.0, 5000, seed=3, records=recs)
+        a = fan_law(2, 2, 40.0, growth, recs, 5000, seed=3)
+        b = fan_law(2, 2, 40.0, growth, recs, 5000, seed=3)
         assert a.mass == b.mass
 
     def test_empty_fan_is_an_error(self):
         growth = parse_growth("log")
         recs = records_upto(150)
         with pytest.raises(ConfigError, match="empty fan"):
-            fan_distribution(FIX, 2, 2, 40.0, growth, 1.0, 1000, seed=1, records=recs)
+            fan_law(2, 2, 40.0, growth, recs, 1000, seed=1)
 
     def test_sampling_path_runs(self):
         # m above 3 goes through rejection sampling;
         # a constant bound keeps the support small
         growth = parse_growth("affine:0,30")
         recs = records_upto(30)
-        emp = fan_distribution(FIX, 4, 2, 1.0, growth, 1.0, 2000, seed=17, records=recs)
+        emp = fan_law(4, 2, 1.0, growth, recs, 2000, seed=17)
         assert emp.total() + emp.truncation_error == pytest.approx(1.0, abs=1e-9)
         assert all(s % 2 == 0 for s in emp.support())
+        # the exact draws of the rejection sampler at this seed
+        assert emp.mass == {0: 0.669, 4: 0.331}
+
+    def test_empty_large_fan_is_a_data_error(self):
+        # only three of the eight support primes below 30 have dimension 0,
+        # so no four of them have weight 0
+        growth = parse_growth("affine:0,30")
+        recs = records_upto(30)
+        with pytest.raises(DataError, match="empty fan"):
+            fan_law(4, 0, 1.0, growth, recs, 100, seed=1)
