@@ -1,10 +1,13 @@
 """Command-line front door: parsing, dispatch, persistence, report emission.
 
 Every subcommand produces a Report: a meta block (version, echoed config,
-timestamp, cache checksum) plus a deterministic payload. With --out the
-full report lands as JSON via a temp-file rename; without it the payload
-goes to stdout, as CSV when the command is tabular. Exit codes: 0 success,
-1 stdout closed early, 2 configuration, 3 data, 4 internal consistency.
+timestamp, cache checksum) plus a deterministic payload. Payloads carry
+library objects (conjugacy classes, subspaces, fan elements) as they are;
+`_render` gives each its float-free JSON form when the report is written.
+With --out the full report lands as JSON via a temp-file rename; without
+it the payload goes to stdout, as CSV when the command is tabular. Exit
+codes: 0 success, 1 stdout closed early, 2 configuration, 3 data, 4
+internal consistency.
 """
 from __future__ import annotations
 
@@ -31,7 +34,16 @@ from .chain import (
 )
 from .curves import CurveQ, density_report, frobenius_class
 from .errors import ConfigError, ConsistencyError, DataError
-from .fans import GrowthFn, enumerate_fan, fan_distribution, lift_count, ln_sequence, parse_growth
+from .f3geom import QuadSpace, Subspace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
+from .fans import FanElement, enumerate_fan, fan_distribution, lift_count, ln_sequence, parse_growth
+from .gl2f3 import (
+    ConjClass,
+    conjugacy_classes,
+    det_coset_stats,
+    enumerate_group,
+    fixed_dim_density,
+    sl2_no_index2_normal,
+)
 from .store import cache_checksum, cache_path, ensure_classified, read_curves_csv
 
 CACHE_ENV = "SELMERFAN_CACHE_DIR"
@@ -70,7 +82,26 @@ class Report:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps({"meta": self.meta, "payload": self.payload}, sort_keys=True, indent=2)
+        return json.dumps(
+            {"meta": self.meta, "payload": self.payload}, sort_keys=True, indent=2, default=_render
+        )
+
+
+def _render(obj):
+    """JSON form of a library object in a payload: ints and strings only."""
+    if isinstance(obj, ConjClass):
+        return asdict(obj)
+    if isinstance(obj, Subspace):
+        return obj.basis
+    if isinstance(obj, FanElement):
+        return {
+            "primes": obj.primes,
+            "w": obj.w,
+            "d_value": obj.d_value,
+            "cubic_poly": obj.cubic_poly,
+            "lift_count": lift_count(obj),
+        }
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def _fmt12(value):
@@ -199,19 +230,7 @@ def _run_densities(config: RunConfig) -> dict:
 def _run_frobclass(config: RunConfig) -> dict:
     _require(config, "p")
     curve = _load_curve(config)
-    cls = frobenius_class(curve, config.p)
-    return {
-        "label": curve.label,
-        "p": config.p,
-        "class": {
-            "representative": list(cls.representative),
-            "size": cls.size,
-            "order": cls.order,
-            "det": cls.det,
-            "trace": cls.trace,
-            "fixed_dim": cls.fixed_dim,
-        },
-    }
+    return {"label": curve.label, "p": config.p, "class": frobenius_class(curve, config.p)}
 
 
 def _run_fan(config: RunConfig) -> dict:
@@ -230,16 +249,7 @@ def _run_fan(config: RunConfig) -> dict:
         "growth": growth.spec_string(),
         "bounds": bounds,
         "count": len(elements),
-        "elements": [
-            {
-                "primes": list(e.primes),
-                "w": e.w,
-                "d_value": e.d_value,
-                "cubic_poly": e.cubic_poly,
-                "lift_count": lift_count(e),
-            }
-            for e in elements
-        ],
+        "elements": elements,
     }
     if config.emit_cubics:
         csv = "d,polynomial\n" + "".join(f"{e.d_value},{e.cubic_poly}\n" for e in elements)
@@ -266,34 +276,24 @@ def _parse_gram(path: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _run_lagrangians(config: RunConfig) -> dict:
-    from .f3geom import QuadSpace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
-
     _require(config, "dim")
     if config.gram:
         space = QuadSpace(config.dim, _parse_gram(config.gram), config.blocks)
     else:
         space = hyperbolic_space(config.dim, config.blocks)
-    payload = {"dim": config.dim, "blocks": config.blocks, "gram": [list(row) for row in space.gram]}
+    payload = {"dim": config.dim, "blocks": config.blocks, "gram": space.gram}
     if config.blocks > 1:
         # first, so that a bad block split fails before the full enumeration
         coord = coordinatewise_lagrangians(space)
         payload["coordinatewise_count"] = len(coord)
-        payload["coordinatewise"] = [[list(v) for v in sub.basis] for sub in coord]
+        payload["coordinatewise"] = coord
     lags = lagrangians(space)
     payload["count"] = len(lags)
-    payload["lagrangians"] = [[list(v) for v in sub.basis] for sub in lags]
+    payload["lagrangians"] = lags
     return payload
 
 
 def _run_gl2f3_report(config: RunConfig) -> dict:
-    from .gl2f3 import (
-        conjugacy_classes,
-        det_coset_stats,
-        enumerate_group,
-        fixed_dim_density,
-        sl2_no_index2_normal,
-    )
-
     coset_rows = {}
     for d in (1, 2):
         coset_rows[str(d)] = [
@@ -305,17 +305,7 @@ def _run_gl2f3_report(config: RunConfig) -> dict:
     }
     return {
         "group_order": len(enumerate_group()),
-        "conjugacy_classes": [
-            {
-                "representative": list(c.representative),
-                "size": c.size,
-                "order": c.order,
-                "det": c.det,
-                "trace": c.trace,
-                "fixed_dim": c.fixed_dim,
-            }
-            for c in conjugacy_classes()
-        ],
+        "conjugacy_classes": conjugacy_classes(),
         "det_coset_stats": coset_rows,
         "fixed_dim_densities": densities,
         "sl2_no_index2_normal": sl2_no_index2_normal(),
@@ -389,7 +379,7 @@ def emit(report: Report, config: RunConfig) -> None:
     elif isinstance(report.payload, dict) and "csv" in report.payload:
         sys.stdout.write(report.payload["csv"])
     else:
-        print(json.dumps(report.payload, sort_keys=True, indent=2))
+        print(json.dumps(report.payload, sort_keys=True, indent=2, default=_render))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -136,10 +136,6 @@ class FanElement:
         return f"x^3 - {self.d_value}"
 
 
-def make_element(primes: tuple[int, ...], records: dict[int, PrimeClassRecord]) -> FanElement:
-    return FanElement(tuple(primes), sum(records[q].dim_fp for q in primes))
-
-
 def lift_count(elem: FanElement) -> int:
     """Number of character lifts over the element: 6 per prime."""
     return 6**elem.m
@@ -182,7 +178,7 @@ def enumerate_fan(
     def extend(start: int, pos: int, picked: list[int], weight: int) -> None:
         if pos == m:
             if weight == w:
-                out.append(make_element(tuple(picked), records))
+                out.append(FanElement(tuple(picked), w))
             return
         for idx in range(start, len(support)):
             q = support[idx]
@@ -196,6 +192,8 @@ def enumerate_fan(
             picked.pop()
 
     extend(0, 0, [], 0)
+    # the closure refers to itself; dropping it lets refcounting free the fan
+    del extend
     return out
 
 

@@ -1,10 +1,11 @@
 """The traced benchmark wraps library functions by name; keep those names.
 
 `perfbench/tracing.py` lives outside the package and reaches into it by
-module and function name, and its simulate_chain counter reads the bound
-arguments `trials` and `prime_stream`. A rename there would only surface
-when a traced benchmark run fails, so the suite loads the tracer and
-installs it.
+module and function name, and its counters read bound arguments (such as
+simulate_chain's `trials` and `prime_stream`) and return values. A rename,
+a changed return shape or a name the tracer fails to rebind would only
+surface when a traced benchmark run fails, so the suite loads the tracer,
+installs it and runs small commands under it.
 """
 import importlib.util
 import inspect
@@ -13,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import selmerfan.chain
-import selmerfan.cli  # noqa: F401  (binds the entry points the tracer rewraps)
-import selmerfan.f3geom  # noqa: F401  (cli imports it lazily)
-import selmerfan.gl2f3  # noqa: F401
+import selmerfan.cli  # loads every traced module, so the tracer rebinds names in all of them
 from selmerfan.chain import Distribution, simulate_chain
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -50,3 +49,34 @@ def test_simulate_chain_counter_binds(tracing):
         recorder.uninstall()
     counts = [span[tracing.COUNTS] for span in recorder.spans]
     assert counts == [{"trial_steps": 6, "uniform_bytes_computed": 3 * 5 * 8}]
+
+
+def test_cli_calls_fire_every_counter(tracing, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SELMERFAN_CACHE_DIR", str(tmp_path / "cache"))
+    curves = tmp_path / "curves.csv"
+    curves.write_text("label,A,B\nfix,1,1\n")
+    curve = ["--curve-file", str(curves), "--label", "fix"]
+    commands = [
+        ["classify", *curve, "--max-prime", "300"],
+        ["fan", *curve, "--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1",
+         "--trials", "20", "--seed", "1"],
+        ["lagrangians", "--dim", "4", "--blocks", "2"],
+        ["gl2f3-report"],
+    ]
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        for argv in commands:
+            assert selmerfan.cli.main(argv) == 0, argv
+    finally:
+        recorder.uninstall()
+    emitted = len(capsys.readouterr().out.encode())
+    counted = {span[tracing.NAME] for span in recorder.spans if span[tracing.COUNTS]}
+    hooked = {f"{module}.{fn}" for module, fn, count in tracing.TARGETS if count}
+    assert hooked <= counted
+    metrics = tracing.layer_metrics(recorder.spans, emitted)
+    for name in ("fans.enumerate_fan.elements", "f3geom.lagrangians.found",
+                 "store.ensure_classified.fresh", "store.load_records.records"):
+        assert metrics[name][0] > 0, name
+    named = {span[tracing.NAME] for span in recorder.spans}
+    assert {"cli.run", "cli.emit"} <= named

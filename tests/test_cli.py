@@ -245,6 +245,35 @@ class TestFanCommand:
         assert first["lift_count"] == 36
         assert first["cubic_poly"].startswith("x^3 - ")
 
+    def fan_argv(self, curve_file, *args):
+        return ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", *args]
+
+    def test_law_alone_renders_no_element(self, capsys, curve_file, cache_dir, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("element rendered")
+
+        monkeypatch.setattr("selmerfan.fans.FanElement.cubic_poly", property(refuse))
+        argv = self.fan_argv(curve_file, "--w", "2", "--X", "40", "--growth", "pow:1",
+                             "--trials", "300", "--seed", "1")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("s,mass\n")
+
+    # recorded from element rows built field by field, so these pin the JSON
+    # form `_render` gives a fan element
+    def test_element_rows_are_pinned(self, capsys, curve_file, cache_dir):
+        assert main(self.fan_argv(curve_file, "--w", "1", "--X", "14", "--growth", "pow:1")) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "bb7eb81d015aa6efb3378b4b234177bf2f060daa1e173914457f57a82a34ea96"
+
+    def test_law_report_is_pinned(self, tmp_path, capsys, curve_file, cache_dir):
+        out = str(tmp_path / "fan.json")
+        argv = self.fan_argv(curve_file, "--w", "2", "--X", "40", "--growth", "pow:1",
+                             "--trials", "3000", "--seed", "11", "--out", out)
+        assert main(argv) == 0
+        payload = json.load(open(out))["payload"]
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == "b48b9f80a9241484318ef6629bc28a693f6a208abb7e288a8e27cc11fd35350d"
+
     def test_empty_fan_is_2(self, capsys, curve_file, cache_dir):
         rc = main(
             ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "2",

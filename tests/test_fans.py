@@ -1,5 +1,7 @@
 """Fan enumeration against a naive reference, growth laws, sampling."""
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -14,7 +16,6 @@ from selmerfan.fans import (
     fan_distribution,
     lift_count,
     ln_sequence,
-    make_element,
     parse_growth,
 )
 
@@ -93,10 +94,9 @@ class TestCubics:
             FanElement((7, 5), 1)
 
     def test_lift_count_multiplicative(self):
-        recs = records_upto(50)
-        assert lift_count(make_element((5,), recs)) == 6
-        assert lift_count(make_element((5, 7), recs)) == 36
-        assert lift_count(make_element((5, 7, 11), recs)) == 216
+        assert lift_count(FanElement((5,), 0)) == 6
+        assert lift_count(FanElement((5, 7), 1)) == 36
+        assert lift_count(FanElement((5, 7, 11), 1)) == 216
 
 
 def naive_fan(records, m, w, bounds):
@@ -155,7 +155,19 @@ class TestEnumerateFan:
         recs = records_upto(900)
         fan = enumerate_fan(FIX, 2, 2, 30.0, growth, recs)
         for elem in fan:
+            assert elem.w == 2
             assert sum(recs[q].dim_fp for q in elem.primes) == 2
+
+    def test_dropped_fan_is_freed_without_gc(self):
+        recs = records_upto(196)
+        gc.disable()
+        try:
+            fan = enumerate_fan(FIX, 2, 1, 14.0, parse_growth("pow:1"), recs)
+            ref = weakref.ref(fan[0])
+            del fan
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cache_gap_is_loud(self):
         growth = parse_growth("pow:1")
