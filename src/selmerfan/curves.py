@@ -9,7 +9,9 @@ cyclotomic field and the support flags.
 
 Trace a_p and determinant p mod 3 pick the class, except where a scalar
 and a unipotent class both fit; one test, x^p = x modulo the 3-division
-polynomial, tells those two apart. Point counting is the naive O(p) sum,
+polynomial, tells those two apart. Nothing here enumerates GL2(F3): the
+class, both torsion dimensions and the predicted densities are read off
+`gl2f3.conjugacy_classes()`. Point counting is the naive O(p) sum,
 capped at p <= 10^6.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim, mul
+from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim_density
 
 MAX_PRIME = 10**6
 
@@ -160,9 +162,8 @@ def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
     points are rational; a +-unipotent fixes exactly one line. The fixed
     dimensions of the class and of its square are checked against the
     point counts p + 1 - a_p of the curve and p + 1 + a_p of its
-    quadratic twist.
+    quadratic twist. Callers have checked p through `ap`.
     """
-    _check_prime(curve, p)
     fits = [c for c in conjugacy_classes() if c.trace == ap_value % 3 and c.det == p % 3]
     if len(fits) > 1:
         scalar = _psi3_splits(curve, p)
@@ -170,8 +171,7 @@ def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
     if len(fits) != 1:
         raise ConsistencyError(f"{len(fits)} Frobenius classes fit a_p = {ap_value} at p = {p}")
     cls = fits[0]
-    g = cls.representative
-    dim, dim2 = cls.fixed_dim, fixed_dim(mul(g, g))
+    dim, dim2 = cls.fixed_dim, cls.square_fixed_dim
     if (p + 1 - ap_value) % 3**dim:
         raise ConsistencyError(f"3^{dim} does not divide the point count at p = {p}")
     if (p + 1 + ap_value) % 3 ** (dim2 - dim):
@@ -179,30 +179,21 @@ def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
     return cls
 
 
-def _torsion_dims(curve: CurveQ, p: int, ap_value: int | None = None) -> tuple[int, int]:
-    """F3-dimensions of the 3-torsion rational over F_p and over F_{p^2}:
-    the fixed dimensions of Frobenius and of its square."""
-    if ap_value is None:
-        ap_value = ap(curve, p)
-    cls = _frobenius_class(curve, p, ap_value)
-    g = cls.representative
-    return cls.fixed_dim, fixed_dim(mul(g, g))
-
-
-def dim3_fp(curve: CurveQ, p: int, ap_value: int | None = None) -> int:
+def dim3_fp(curve: CurveQ, p: int) -> int:
     """F3-dimension of the 3-torsion subgroup rational over F_p."""
-    return _torsion_dims(curve, p, ap_value)[0]
+    return frobenius_class(curve, p).fixed_dim
 
 
 def dim3_fp2(curve: CurveQ, p: int) -> int:
     """F3-dimension of the 3-torsion subgroup rational over F_{p^2}."""
-    return _torsion_dims(curve, p)[1]
+    return frobenius_class(curve, p).square_fixed_dim
 
 
 def classify_prime(curve: CurveQ, p: int) -> PrimeClassRecord:
     """Full local record at p: trace, torsion dimensions, class data."""
     a = ap(curve, p)
-    d1, d2 = _torsion_dims(curve, p, a)
+    cls = _frobenius_class(curve, p, a)
+    d1, d2 = cls.fixed_dim, cls.square_fixed_dim
     split = p % 3 == 1
     return PrimeClassRecord(
         label=curve.label or "",
@@ -232,11 +223,12 @@ def _classify_worker(args):
 
 
 def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeClassRecord]:
-    """Records for the given primes, in the given order."""
-    if jobs <= 1:
+    """Records for the given primes, in the given order; at most one worker per prime."""
+    workers = min(jobs, len(ps))
+    if workers <= 1:
         return [classify_prime(curve, p) for p in ps]
     tasks = [(curve.A, curve.B, curve.label, p) for p in ps]
-    with Pool(jobs) as pool:
+    with Pool(workers) as pool:
         return pool.map(_classify_worker, tasks, chunksize=64)
 
 
@@ -254,8 +246,6 @@ def classify_range(curve: CurveQ, max_prime: int) -> list[PrimeClassRecord]:
 
 def density_report(curve: CurveQ, max_prime: int, records: list[PrimeClassRecord]) -> dict:
     """Class frequencies of the records up to max_prime against the GL2(F3) predictions."""
-    from .gl2f3 import fixed_dim_density
-
     if max_prime < 100:
         raise ConfigError("density report needs max_prime >= 100")
     records = sorted((r for r in records if r.p <= max_prime), key=lambda r: r.p)
@@ -265,28 +255,20 @@ def density_report(curve: CurveQ, max_prime: int, records: list[PrimeClassRecord
     for coset_name, recs, d in (("split", split, 1), ("inert", inert, 2)):
         for i in (0, 1, 2):
             predicted = float(fixed_dim_density(d, i))
-            empirical = (
-                sum(1 for r in recs if r.class_k == i) / len(recs) if recs else 0.0
-            )
-            rows.append(
-                {
-                    "coset": coset_name,
-                    "dim": i,
-                    "empirical": empirical,
-                    "predicted": predicted,
-                    "deviation": abs(empirical - predicted),
-                }
-            )
-    n_inert = len(inert)
-    order2 = sum(1 for r in inert if r.dim_fp == 1) / n_inert if n_inert else 0.0
-    order8 = sum(1 for r in inert if r.dim_fp == 0) / n_inert if n_inert else 0.0
+            empirical = sum(1 for r in recs if r.class_k == i) / len(recs) if recs else 0.0
+            rows.append({"coset": coset_name, "dim": i, "empirical": empirical,
+                         "predicted": predicted, "deviation": abs(empirical - predicted)})
+    # in the det = 2 coset, Frobenius of order 2 fixes a line and of order 8 fixes none
+    inert_by_dim = {
+        row["dim"]: {k: row[k] for k in ("empirical", "predicted", "deviation")} for row in rows[3:]
+    }
     return {
         "label": curve.label or "",
         "max_prime": max_prime,
         "primes": len(records),
         "split_primes": len(split),
-        "inert_primes": n_inert,
+        "inert_primes": len(inert),
         "rows": rows,
-        "inert_order2": {"empirical": order2, "predicted": 0.5, "deviation": abs(order2 - 0.5)},
-        "inert_order8": {"empirical": order8, "predicted": 0.5, "deviation": abs(order8 - 0.5)},
+        "inert_order2": inert_by_dim[1],
+        "inert_order8": inert_by_dim[0],
     }

@@ -1,14 +1,17 @@
 """The 48-element group of invertible 2x2 matrices over F3.
 
-Matrices are flat row-major 4-tuples of residues 0..2. Every table here is
-built by exhaustive enumeration; the group is small enough that nothing
-smarter is warranted.
+Matrices are flat row-major 4-tuples of residues 0..2. Only the group and
+its conjugacy classes are enumerated, by brute force; every other table is
+read off the class list.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import ConsistencyError
 
 Mat = tuple[int, int, int, int]
 
@@ -41,8 +44,6 @@ def fixed_dim(g: Mat) -> int:
 
 @lru_cache(maxsize=1)
 def enumerate_group() -> tuple[Mat, ...]:
-    import itertools
-
     return tuple(
         g for g in itertools.product(range(3), repeat=4) if det(g) != 0
     )
@@ -66,6 +67,11 @@ class ConjClass:
     det: int
     trace: int
     fixed_dim: int
+
+    @property
+    def square_fixed_dim(self) -> int:
+        """Fixed dimension of the square of any member."""
+        return fixed_dim(mul(self.representative, self.representative))
 
 
 @lru_cache(maxsize=1)
@@ -106,11 +112,10 @@ def det_coset_stats(d: int) -> dict[tuple[int, int], int]:
     if d not in (1, 2):
         raise ValueError("determinant must be 1 or 2")
     hist: dict[tuple[int, int], int] = {}
-    for g in enumerate_group():
-        if det(g) == d:
-            key = (element_order(g), fixed_dim(g))
-            hist[key] = hist.get(key, 0) + 1
-    assert sum(hist.values()) == 24
+    for cls in conjugacy_classes():
+        if cls.det == d:
+            key = (cls.order, cls.fixed_dim)
+            hist[key] = hist.get(key, 0) + cls.size
     return hist
 
 
@@ -120,7 +125,7 @@ def fixed_dim_density(d: int, i: int) -> Fraction:
         raise ValueError("determinant must be 1 or 2")
     if i not in (0, 1, 2):
         raise ValueError("fixed dimension must be 0, 1 or 2")
-    count = sum(1 for g in enumerate_group() if det(g) == d and fixed_dim(g) == i)
+    count = sum(c.size for c in conjugacy_classes() if c.det == d and c.fixed_dim == i)
     return Fraction(count, 24)
 
 
@@ -173,19 +178,13 @@ def sl2_no_index2_normal() -> bool:
 def match_class(trace_mod3: int, det_mod3: int, fdim: int, fdim_square: int) -> ConjClass:
     """The unique class with the given trace, det, fixed dim, and fixed dim
     of the square. Raises if zero or several classes match."""
-    hits = []
-    for cls, _ in conjugacy_partition():
-        rep = cls.representative
-        if (
-            cls.trace == trace_mod3 % 3
-            and cls.det == det_mod3 % 3
-            and cls.fixed_dim == fdim
-            and fixed_dim(mul(rep, rep)) == fdim_square
-        ):
-            hits.append(cls)
+    signature = (trace_mod3 % 3, det_mod3 % 3, fdim, fdim_square)
+    hits = [
+        c
+        for c in conjugacy_classes()
+        if (c.trace, c.det, c.fixed_dim, c.square_fixed_dim) == signature
+    ]
     if len(hits) != 1:
-        from .errors import ConsistencyError
-
         raise ConsistencyError(
             f"class match for (trace={trace_mod3}, det={det_mod3}, "
             f"fdim={fdim}, fdim_sq={fdim_square}) found {len(hits)} candidates"

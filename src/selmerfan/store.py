@@ -4,30 +4,24 @@ Cache layout: one file per curve label, one canonical JSON object per line,
 keyed by (label, p). Lines are never rewritten; re-runs reuse existing
 entries verbatim and append only what is missing. A final fragment with no
 newline is a torn append: readers skip it and the next append replaces it.
+Appends hold an exclusive `flock` on the file while they read and extend
+it, so overlapping runs neither duplicate records nor cut each other's lines.
 A stamp `<label>.curve` next to `<label>.jsonl` holds the curve's `A,B`,
 so a cache built for another curve under the same label is refused.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
+import io
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .curves import CurveQ, PrimeClassRecord, classify_primes, good_primes
 from .errors import DataError
 
-_RECORD_FIELDS = (
-    "label",
-    "p",
-    "a_p",
-    "dim_fp",
-    "dim_fp2",
-    "split_in_F",
-    "class_k",
-    "class_F",
-    "in_DB_support",
-)
+_RECORD_FIELDS = tuple(f.name for f in fields(PrimeClassRecord))
 
 
 def read_curves_csv(path: str) -> list[CurveQ]:
@@ -77,33 +71,43 @@ def cache_path(cache_dir: str, label: str) -> str:
     return os.path.join(cache_dir, f"{label}.jsonl")
 
 
-def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
-    """All cached records keyed by (label, p); missing file is empty."""
+def _records_in(lines) -> dict[tuple[str, int], PrimeClassRecord]:
+    """Records of the complete lines, keyed by (label, p); stops at a torn one."""
     out: dict[tuple[str, int], PrimeClassRecord] = {}
-    if not os.path.exists(path):
-        return out
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.endswith("\n"):
-                break
-            if not line.strip():
-                continue
-            rec = line_to_record(line)
-            out[(rec.label, rec.p)] = rec
+    for line in lines:
+        if not line.endswith("\n"):
+            break
+        if not line.strip():
+            continue
+        rec = line_to_record(line)
+        out[(rec.label, rec.p)] = rec
     return out
 
 
+def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
+    """All cached records keyed by (label, p); missing file is empty."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        return _records_in(fh)
+
+
 def append_records(path: str, records: list[PrimeClassRecord]) -> int:
-    """Append records whose (label, p) keys are not yet present."""
+    """Append records whose (label, p) keys are not yet present.
+
+    The file is read and extended under one exclusive lock, so the keys
+    checked are those of the bytes the append follows.
+    """
     if not records:
         return 0
-    existing = set(load_records(path))
-    fresh = [r for r in records if (r.label, r.p) not in existing]
-    if fresh:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "ab+") as fh:
-            fh.seek(0)
-            data = fh.read()
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "ab+") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.seek(0)
+        data = fh.read()
+        existing = _records_in(io.StringIO(data.decode("utf-8"), newline=None))
+        fresh = [r for r in records if (r.label, r.p) not in existing]
+        if fresh:
             if not data.endswith(b"\n"):  # drop the fragment of a torn append
                 fh.truncate(data.rfind(b"\n") + 1)
             fh.write("".join(record_to_line(rec) for rec in fresh).encode("utf-8"))

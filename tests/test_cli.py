@@ -367,6 +367,36 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
 
 
+class TestClassOutputsArePinned:
+    """sha256 of stdout, recorded while every GL2(F3) table was still counted
+    over the 48 matrices, so drift in a table or a class read shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["gl2f3-report"],
+             "cbc56ee24754f22ee0678131437b844aee54f7aa0a07717b4da1bfcfd3b6f70b"),
+            (["densities", "--label", "fix", "--max-prime", "5000"],
+             "fe284537fef048b45a34a0889978193efb88c1f483c2a1be087f1576eefecdc5"),
+            (["frobclass", "--label", "fix", "--p", "10111"],
+             "9357d32a6283b02cab0b6728589c532a511d74b82eba10f15f88992874b7fc1b"),
+            (["frobclass", "--label", "fix", "--p", "10141"],
+             "db0373dfc6293b720706fe2c944ad642119570d5a1780a9c7b5b5abd8e07b721"),
+            (["frobclass", "--label", "cm", "--p", "10009"],
+             "7c3e476b4f3c9d4a584397a344b1e80ce40b4fc9bdf019caaa6400b3dc0da764"),
+        ],
+        ids=["gl2f3-report", "densities-fix", "frobclass-minus-I", "frobclass-unipotent",
+             "frobclass-I"],
+    )
+    def test_stdout(self, argv, digest, tmp_path, capsys, cache_dir):
+        if argv[0] != "gl2f3-report":
+            curves = tmp_path / "curves.csv"
+            curves.write_text("label,A,B\nfix,1,1\ncm,0,-432\n")
+            argv = [argv[0], "--curve-file", str(curves), *argv[1:]]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestGroupReportCommand:
     def test_payload(self, capsys):
         assert main(["gl2f3-report"]) == 0

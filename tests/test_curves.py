@@ -332,6 +332,30 @@ class TestClassification:
         ps = good_primes(FIX, 400)
         assert classify_primes(FIX, ps, jobs=1) == classify_primes(FIX, ps, jobs=3)
 
+    def test_pool_has_at_most_one_worker_per_prime(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("selmerfan.curves.Pool", RecordingPool)
+        assert classify_primes(FIX, [], jobs=2) == []
+        assert classify_primes(FIX, [5], jobs=4) == [classify_prime(FIX, 5)]
+        assert sizes == []
+        ps = [5, 7, 11]
+        assert classify_primes(FIX, ps, jobs=8) == [classify_prime(FIX, p) for p in ps]
+        assert sizes == [3]
+
     def test_frobenius_class_consistent_with_dims(self):
         for p in good_primes(FIX, 300):
             cls = frobenius_class(FIX, p)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from selmerfan.gl2f3 import (
     IDENTITY,
     conjugacy_classes,
+    conjugacy_partition,
     det,
     det_coset_stats,
     element_order,
@@ -103,6 +104,34 @@ def test_fixed_dim_density():
         fixed_dim_density(3, 0)
     with pytest.raises(ValueError):
         fixed_dim_density(1, 5)
+
+
+# The tables are read off the conjugacy classes; these count the 48 matrices.
+@pytest.mark.parametrize("d", [1, 2])
+def test_det_coset_stats_counts_the_coset(d):
+    hist = {}
+    for g in enumerate_group():
+        if det(g) == d:
+            key = (brute_order(g), fixed_dim(g))
+            hist[key] = hist.get(key, 0) + 1
+    assert det_coset_stats(d) == hist
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_fixed_dim_density_counts_the_coset(d, i):
+    count = sum(1 for g in enumerate_group() if det(g) == d and fixed_dim(g) == i)
+    assert fixed_dim_density(d, i) == Fraction(count, 24)
+
+
+def test_square_fixed_dim_holds_for_every_member():
+    group = enumerate_group()
+    inverse = {h: next(k for k in group if mul(h, k) == IDENTITY) for h in group}
+    for cls, members in conjugacy_partition():
+        rep = cls.representative
+        assert members == {mul(mul(h, rep), inverse[h]) for h in group}
+        for g in members:
+            assert cls.square_fixed_dim == fixed_dim(mul(g, g))
 
 
 @given(group_elem)

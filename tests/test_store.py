@@ -1,4 +1,5 @@
 """CSV ingestion and the append-only classification cache."""
+import fcntl
 import os
 
 import pytest
@@ -96,6 +97,29 @@ class TestCache:
         before = open(path, "rb").read()
         assert append_records(path, recs) == 0
         assert open(path, "rb").read() == before
+
+    def test_append_holds_an_exclusive_lock(self, tmp_path, monkeypatch):
+        path = cache_path(str(tmp_path), "fix")
+        probes = []
+
+        def probe(fd):
+            with open(path, "rb") as other, pytest.raises(BlockingIOError):
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            probes.append(fd)
+
+        monkeypatch.setattr("selmerfan.store.os.fsync", probe)
+        assert append_records(path, classify_range(FIX, 100)) > 0
+        assert len(probes) == 1
+        with open(path, "rb") as other:  # released once the append returns
+            fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+    def test_append_reads_existing_keys_under_its_lock(self, tmp_path, monkeypatch):
+        path = cache_path(str(tmp_path), "fix")
+        recs = classify_range(FIX, 200)
+        monkeypatch.setattr(store, "load_records", lambda p: pytest.fail("separate read"))
+        assert append_records(path, recs[:3]) == 3
+        assert append_records(path, recs) == len(recs) - 3
+        assert open(path).read() == "".join(record_to_line(r) for r in recs)
 
     def test_missing_cache_is_empty(self, tmp_path):
         assert load_records(str(tmp_path / "none.jsonl")) == {}
