@@ -46,8 +46,8 @@ class Distribution:
             raise ConfigError(f"total mass {total} deviates from 1 beyond {MASS_TOL}")
 
     @classmethod
-    def point_mass(cls, s: int, s_max: int = S_MAX) -> "Distribution":
-        return cls({s: 1.0}, s_max)
+    def point_mass(cls, s: int) -> "Distribution":
+        return cls({s: 1.0})
 
     def total(self) -> float:
         return sum(self.mass.values())
@@ -76,8 +76,8 @@ class RhoE:
         if not 0.0 <= self.value <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {self.value}")
 
-    def initial_distribution(self, s_max: int = S_MAX) -> Distribution:
-        return Distribution({0: self.value, 1: 1.0 - self.value}, s_max)
+    def initial_distribution(self) -> Distribution:
+        return Distribution({0: self.value, 1: 1.0 - self.value})
 
 
 def r_omega(dim: int) -> int:
@@ -185,7 +185,7 @@ def _truncated_product(factors) -> float:
     return out
 
 
-def stationary(parity: str, s_max: int = S_MAX) -> Distribution:
+def stationary(parity: str) -> Distribution:
     """The invariant law of the even or odd parity class.
 
     It is the single-step invariant law; iterates from a point mass alternate
@@ -200,15 +200,15 @@ def stationary(parity: str, s_max: int = S_MAX) -> Distribution:
     )
     shift = 0 if parity == "even" else 1
     mass: dict[int, float] = {}
-    for j in range(s_max // 2 + 1):
+    for j in range(S_MAX // 2 + 1):
         s = 2 * j + shift
-        if s > s_max:
+        if s > S_MAX:
             break
         value = lead
         for k in range(1, j + 1):
             value *= 3.0 / (3**k - 1)
         mass[s] = value
-    return Distribution(mass, s_max)
+    return Distribution(mass)
 
 
 def tail_constant() -> float:

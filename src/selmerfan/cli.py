@@ -1,13 +1,15 @@
 """Command-line front door: parsing, dispatch, persistence, report emission.
 
-Every subcommand produces a Report: a meta block (version, echoed config,
-timestamp, cache checksum) plus a deterministic payload. Payloads carry
-library objects (conjugacy classes, subspaces, fan elements) as they are;
-`_render` gives each its float-free JSON form when the report is written.
-With --out the full report lands as JSON via a temp-file rename; without
-it the payload goes to stdout, as CSV when the command is tabular. Exit
-codes: 0 success, 1 stdout closed early, 2 configuration, 3 data, 4
-internal consistency.
+The parser declares every option once, and the namespace it returns is the
+run config: `parse_args` adds only the cache directory, taken from the
+environment. Every subcommand produces a Report: a meta block (version,
+the subcommand's own flags, timestamp, cache checksum) plus a
+deterministic payload. Payloads carry library objects (conjugacy classes,
+subspaces, fan elements) as they are; `_render` gives each its float-free
+JSON form when the report is written. With --out the full report lands
+as JSON via a temp-file rename; without it the payload goes to stdout, as
+CSV when the command is tabular. Exit codes: 0 success, 1 stdout closed
+early, 2 configuration, 3 data, 4 internal consistency.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -48,32 +50,6 @@ from .store import cache_checksum, cache_path, ensure_classified, read_curves_cs
 
 CACHE_ENV = "SELMERFAN_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".selmerfan-cache"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    curve_file: str | None = None
-    label: str | None = None
-    max_prime: int | None = None
-    p: int | None = None
-    m: int | None = None
-    w: int | None = None
-    X: float | None = None
-    growth: str | None = None
-    emit_cubics: str | None = None
-    synthetic: str | None = None
-    trials: int | None = None
-    rho: float = 1.0
-    parity: str | None = None
-    s: int | None = None
-    dim: int | None = None
-    blocks: int = 1
-    gram: str | None = None
-    seed: int | None = None
-    jobs: int = 1
-    out: str | None = None
-    cache_dir: str = field(default_factory=lambda: os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
 
 
 @dataclass
@@ -121,21 +97,20 @@ def _distribution_payload(dist: Distribution) -> dict:
     return {"distribution": table, "csv": csv, "truncation_error": dist.truncation_error}
 
 
-def _require(config: RunConfig, *names: str) -> None:
+def _require(config: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise ConfigError(f"{config.subcommand} requires --{name.replace('_', '-')}")
 
 
-def _load_curve(config: RunConfig) -> CurveQ:
-    _require(config, "curve_file", "label")
+def _load_curve(config: argparse.Namespace) -> CurveQ:
     for curve in read_curves_csv(config.curve_file):
         if curve.label == config.label:
             return curve
     raise ConfigError(f"label {config.label!r} not found in {config.curve_file}")
 
 
-def _curve_cache(config: RunConfig, curve: CurveQ, max_prime: int):
+def _curve_cache(config: argparse.Namespace, curve: CurveQ, max_prime: int):
     path = cache_path(config.cache_dir, curve.label or "unlabeled")
     records, fresh = ensure_classified(curve, max_prime, path, jobs=config.jobs)
     return path, records, fresh
@@ -160,28 +135,26 @@ def parse_synthetic(spec: str) -> list[tuple[int, str]]:
     return stream
 
 
-def _run_stationary(config: RunConfig) -> dict:
-    parity = config.parity or "even"
-    return {"parity": parity, **_distribution_payload(stationary(parity))}
+def _run_stationary(config: argparse.Namespace) -> dict:
+    return {"parity": config.parity, **_distribution_payload(stationary(config.parity))}
 
 
-def _run_evolve(config: RunConfig) -> dict:
-    _require(config, "w")
+def _run_evolve(config: argparse.Namespace) -> dict:
     initial = RhoE(config.rho).initial_distribution()
     final = evolve(initial, config.w)
     return {"rho": config.rho, "w": config.w, **_distribution_payload(final)}
 
 
-def _run_simulate(config: RunConfig) -> dict:
-    _require(config, "trials", "seed")
+def _run_simulate(config: argparse.Namespace) -> dict:
+    _require(config, "seed")
     initial = RhoE(config.rho).initial_distribution()
     if config.synthetic:
         stream = parse_synthetic(config.synthetic)
         source = {"synthetic": config.synthetic}
     else:
-        _require(config, "max_prime")
+        _require(config, "max_prime", "curve_file", "label")
         curve = _load_curve(config)
-        path, records, _ = _curve_cache(config, curve, config.max_prime)
+        _, records, _ = _curve_cache(config, curve, config.max_prime)
         stream = [records[p] for p in sorted(records) if records[p].in_DB_support]
         source = {"label": curve.label, "max_prime": config.max_prime, "stream_length": len(stream)}
     emp = simulate_chain(initial, stream, config.trials, config.seed)
@@ -194,8 +167,7 @@ def _run_simulate(config: RunConfig) -> dict:
     }
 
 
-def _run_tailbound(config: RunConfig) -> dict:
-    _require(config, "s")
+def _run_tailbound(config: argparse.Namespace) -> dict:
     parity = config.parity or ("even" if config.s % 2 == 0 else "odd")
     return {
         "s": config.s,
@@ -206,8 +178,7 @@ def _run_tailbound(config: RunConfig) -> dict:
     }
 
 
-def _run_classify(config: RunConfig) -> dict:
-    _require(config, "max_prime")
+def _run_classify(config: argparse.Namespace) -> dict:
     curve = _load_curve(config)
     path, records, fresh = _curve_cache(config, curve, config.max_prime)
     return {
@@ -220,21 +191,18 @@ def _run_classify(config: RunConfig) -> dict:
     }
 
 
-def _run_densities(config: RunConfig) -> dict:
-    _require(config, "max_prime")
+def _run_densities(config: argparse.Namespace) -> dict:
     curve = _load_curve(config)
     _, records, _ = _curve_cache(config, curve, config.max_prime)
     return density_report(curve, config.max_prime, records=list(records.values()))
 
 
-def _run_frobclass(config: RunConfig) -> dict:
-    _require(config, "p")
+def _run_frobclass(config: argparse.Namespace) -> dict:
     curve = _load_curve(config)
     return {"label": curve.label, "p": config.p, "class": frobenius_class(curve, config.p)}
 
 
-def _run_fan(config: RunConfig) -> dict:
-    _require(config, "m", "w", "X", "growth")
+def _run_fan(config: argparse.Namespace) -> dict:
     curve = _load_curve(config)
     growth = parse_growth(config.growth)
     bounds = ln_sequence(growth, config.X, config.m)
@@ -257,10 +225,10 @@ def _run_fan(config: RunConfig) -> dict:
         payload["cubics_file"] = config.emit_cubics
     if config.trials is not None:
         _require(config, "seed")
-        emp = fan_distribution(elements, bounds, records, config.rho, config.trials, config.seed)
-        reference = evolve(RhoE(config.rho).initial_distribution(), config.w)
+        initial = RhoE(config.rho).initial_distribution()
+        emp = fan_distribution(elements, bounds, records, initial, config.trials, config.seed)
         payload.update(_distribution_payload(emp))
-        payload["tv_to_evolve"] = emp.tv_distance(reference)
+        payload["tv_to_evolve"] = emp.tv_distance(evolve(initial, config.w))
     return payload
 
 
@@ -275,8 +243,7 @@ def _parse_gram(path: str) -> tuple[tuple[int, ...], ...]:
         raise DataError(f"bad gram file {path}: {e}") from e
 
 
-def _run_lagrangians(config: RunConfig) -> dict:
-    _require(config, "dim")
+def _run_lagrangians(config: argparse.Namespace) -> dict:
     if config.gram:
         space = QuadSpace(config.dim, _parse_gram(config.gram), config.blocks)
     else:
@@ -293,7 +260,7 @@ def _run_lagrangians(config: RunConfig) -> dict:
     return payload
 
 
-def _run_gl2f3_report(config: RunConfig) -> dict:
+def _run_gl2f3_report(config: argparse.Namespace) -> dict:
     coset_rows = {}
     for d in (1, 2):
         coset_rows[str(d)] = [
@@ -326,19 +293,18 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> Report:
-    """Dispatch a validated config and wrap the result in a Report."""
+def run(config: argparse.Namespace) -> Report:
+    """Dispatch a config from `parse_args` and wrap the result in a Report."""
     runner = _RUNNERS.get(config.subcommand)
     if runner is None:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     payload = _fmt12(runner(config))
-    checksum = None
-    if config.label:
-        checksum = cache_checksum(cache_path(config.cache_dir, config.label))
+    label = getattr(config, "label", None)
+    checksum = cache_checksum(cache_path(config.cache_dir, label)) if label else None
     meta = {
         "version": __version__,
         "command": config.subcommand,
-        "config": {k: v for k, v in asdict(config).items() if v is not None},
+        "config": {k: v for k, v in vars(config).items() if v is not None},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "cache_checksum": checksum,
     }
@@ -372,7 +338,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit(report: Report, config: RunConfig) -> None:
+def emit(report: Report, config: argparse.Namespace) -> None:
     if config.out:
         _atomic_write(config.out, report.to_json() + "\n")
         print(f"report written to {config.out}")
@@ -384,9 +350,16 @@ def emit(report: Report, config: RunConfig) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (required when sampling)")
+    common.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
     common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--out", default=None, help="write the full JSON report here atomically")
+    common.add_argument("--out", help="write the full JSON report here atomically")
+    # the subcommands that read one curve of a curve file, and those that
+    # also classify it up to a bound
+    curve = argparse.ArgumentParser(add_help=False, parents=[common])
+    curve.add_argument("--curve-file", required=True)
+    curve.add_argument("--label", required=True)
+    bounded = argparse.ArgumentParser(add_help=False, parents=[curve])
+    bounded.add_argument("--max-prime", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="selmerfan",
@@ -407,35 +380,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", help="stream spec like 40x1s+5x2s")
     p.add_argument("--curve-file")
     p.add_argument("--label")
-    p.add_argument("--max-prime", type=int, dest="max_prime")
+    p.add_argument("--max-prime", type=int)
 
     p = sub.add_parser("tailbound", parents=[common], help="closed-form vs exact stationary tail")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--parity", choices=["even", "odd"])
 
-    p = sub.add_parser("classify", parents=[common], help="classify primes into the cache")
-    p.add_argument("--curve-file", required=True)
-    p.add_argument("--label", required=True)
-    p.add_argument("--max-prime", type=int, required=True, dest="max_prime")
+    sub.add_parser("classify", parents=[bounded], help="classify primes into the cache")
+    sub.add_parser("densities", parents=[bounded], help="empirical vs predicted class densities")
 
-    p = sub.add_parser("densities", parents=[common], help="empirical vs predicted class densities")
-    p.add_argument("--curve-file", required=True)
-    p.add_argument("--label", required=True)
-    p.add_argument("--max-prime", type=int, required=True, dest="max_prime")
-
-    p = sub.add_parser("frobclass", parents=[common], help="Frobenius conjugacy class at p")
-    p.add_argument("--curve-file", required=True)
-    p.add_argument("--label", required=True)
+    p = sub.add_parser("frobclass", parents=[curve], help="Frobenius conjugacy class at p")
     p.add_argument("--p", type=int, required=True)
 
-    p = sub.add_parser("fan", parents=[common], help="enumerate a fan and emit cubics")
-    p.add_argument("--curve-file", required=True)
-    p.add_argument("--label", required=True)
+    p = sub.add_parser("fan", parents=[curve], help="enumerate a fan and emit cubics")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--growth", required=True, help="log | pow:alpha | affine:a,b")
-    p.add_argument("--emit-cubics", dest="emit_cubics")
+    p.add_argument("--emit-cubics")
     p.add_argument("--trials", type=int, help="also sample the fan distribution")
     p.add_argument("--rho", type=float, default=1.0)
 
@@ -449,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    return RunConfig(**values)
+def parse_args(argv=None) -> argparse.Namespace:
+    """The run config: the parsed flags plus the cache directory."""
+    config = build_parser().parse_args(argv)
+    config.cache_dir = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
+    return config
 
 
 def main(argv=None) -> int:

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, RhoE, simulate_chain
+from .chain import Distribution, simulate_chain
 from .curves import CurveQ, PrimeClassRecord, good_primes
 from .errors import ConfigError, DataError
+
+# the most elements enumerate_fan lists; 10^6 five-prime elements peak near 210 MB
+MAX_FAN_ELEMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,8 @@ def enumerate_fan(
     the bounds are nondecreasing, so this is exactly the existence of an
     assignment of primes to positions. The records must cover every good
     prime below the last bound; a gap in them is an error, not a silent shrink.
+    A fan of more than MAX_FAN_ELEMENTS elements is refused as soon as the
+    list would pass the cap.
     """
     if m < 1:
         raise ConfigError(f"fan needs m >= 1, got {m}")
@@ -178,6 +183,8 @@ def enumerate_fan(
     def extend(start: int, pos: int, picked: list[int], weight: int) -> None:
         if pos == m:
             if weight == w:
+                if len(out) == MAX_FAN_ELEMENTS:
+                    raise ConfigError(f"fan passes the cap MAX_FAN_ELEMENTS = {MAX_FAN_ELEMENTS}")
                 out.append(FanElement(tuple(picked), w))
             return
         for idx in range(start, len(support)):
@@ -191,9 +198,11 @@ def enumerate_fan(
             extend(idx + 1, pos + 1, picked, weight + dq)
             picked.pop()
 
-    extend(0, 0, [], 0)
-    # the closure refers to itself; dropping it lets refcounting free the fan
-    del extend
+    try:
+        extend(0, 0, [], 0)
+    finally:
+        # the closure refers to itself; dropping it lets refcounting free the fan
+        del extend
     return out
 
 
@@ -203,27 +212,23 @@ def _substream_seed(seed: int, tag: int, idx: int = 0) -> int:
 
 
 def _sample_elements(
-    elements: list[FanElement],
-    bounds: list[float],
-    records: dict[int, PrimeClassRecord],
-    count: int,
-    seed: int,
+    elements: list[FanElement], support: list[int], count: int, seed: int
 ) -> list[FanElement]:
     """Uniform fan elements by rejection from sorted support m-subsets.
 
-    Proposals are uniform over all strictly increasing m-tuples of support
-    primes below the last bound; a proposal is accepted when it is a fan
-    element, found by bisection in the sorted list, so accepted draws are
+    Proposals are uniform over all strictly increasing m-tuples of the
+    support primes; a proposal is accepted when it is a fan element, found
+    by bisection in the sorted (non-empty) list, so accepted draws are
     uniform over the fan.
     """
-    support = _support(bounds, records)
+    m = elements[0].m
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 1)))
     )
     out: list[FanElement] = []
     limit = 10_000 * max(1, count)
     for _ in range(limit):
-        picked = sorted(gen.choice(len(support), size=len(bounds), replace=False))
+        picked = sorted(gen.choice(len(support), size=m, replace=False))
         qs = tuple(support[i] for i in picked)
         k = bisect.bisect_left(elements, qs, key=lambda e: e.primes)
         if k < len(elements) and elements[k].primes == qs:
@@ -240,7 +245,7 @@ def fan_distribution(
     elements: list[FanElement],
     bounds: list[float],
     records: dict[int, PrimeClassRecord],
-    rho: float | RhoE,
+    initial: Distribution,
     trials: int,
     seed: int,
 ) -> Distribution:
@@ -248,24 +253,23 @@ def fan_distribution(
 
     Takes the fan as enumerate_fan listed it under the positional bounds,
     with the records it was enumerated from; m is the number of bounds.
-    Small fans (m up to 3) spread the trials across all elements as evenly
-    as possible; larger fans draw a uniform batch of elements by rejection.
+    Every walk starts from the initial law. Small fans (m up to 3) spread
+    the trials across all elements as evenly as possible; larger fans draw
+    a uniform batch of elements by rejection.
     Each element's primes replay through the rank walk on an
     element-specific substream. An empty fan raises before any draw: a
     DataError for m >= 4 over at least m support primes, else a ConfigError.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
-    rho_e = rho if isinstance(rho, RhoE) else RhoE(float(rho))
-    initial = rho_e.initial_distribution()
     m = len(bounds)
+    support = _support(bounds, records)
     if not elements:
-        small = m <= 3 or len(_support(bounds, records)) < m
-        raise (ConfigError if small else DataError)(
+        raise (ConfigError if m <= 3 or len(support) < m else DataError)(
             f"empty fan: no admissible tuples of {m} primes below {bounds[-1]:g}"
         )
     if m > 3:
-        elements = _sample_elements(elements, bounds, records, min(trials, 256), seed)
+        elements = _sample_elements(elements, support, min(trials, 256), seed)
     elif len(elements) > trials:
         gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))

@@ -200,7 +200,7 @@ class TestOperator:
             RhoE(-0.1)
 
     def test_truncation_is_tracked(self):
-        d = Distribution.point_mass(8, s_max=8)
+        d = Distribution({8: 1.0}, 8)
         stepped = ml_step(d)
         assert stepped.truncation_error == pytest.approx(3.0 ** -4)
         assert stepped.pmf(6) == 1.0

@@ -1,4 +1,5 @@
 """End-to-end command-line behaviour: exit codes, reports, reproducibility."""
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import selmerfan
-from selmerfan.cli import RunConfig, main, parse_synthetic, run
+from selmerfan.cli import main, parse_args, parse_synthetic, run
 from selmerfan.errors import ConfigError
 
 
@@ -96,6 +97,13 @@ class TestExitCodes:
         assert rc == 2
         assert "exceeds the supported bound" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    def test_classify_without_max_prime_is_2_before_any_work(self, capsys, curve_file, cache_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--curve-file", curve_file, "--label", "fix"])
+        assert exc.value.code == 2
+        assert "--max-prime" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
 
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -211,18 +219,40 @@ class TestReportDeterminism:
 
 class TestRunApi:
     def test_run_returns_report(self):
-        report = run(RunConfig(subcommand="tailbound", s=8))
+        report = run(parse_args(["tailbound", "--s", "8"]))
         assert report.payload["exact"] < report.payload["bound"]
         assert report.meta["config"]["s"] == 8
 
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(subcommand="nope"))
+            run(argparse.Namespace(subcommand="nope"))
 
     def test_floats_are_trimmed_to_12_digits(self):
-        report = run(RunConfig(subcommand="stationary", parity="even"))
+        report = run(parse_args(["stationary", "--parity", "even"]))
         for mass in report.payload["distribution"].values():
             assert float(f"{mass:.12g}") == mass
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stationary"], ["evolve", "--w", "3"], ["tailbound", "--s", "4"],
+         ["lagrangians", "--dim", "2"], ["gl2f3-report"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_label_less_subcommands_run(self, argv):
+        report = run(parse_args(argv))
+        assert report.meta["command"] == argv[0]
+        assert report.meta["cache_checksum"] is None
+
+    def test_meta_lists_only_the_subcommands_flags(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        assert main(["evolve", "--w", "3", "--out", out]) == 0
+        config = json.load(open(out))["meta"]["config"]
+        assert config["w"] == 3 and config["rho"] == 1.0
+        assert "blocks" not in config
+        assert main(["stationary", "--out", out]) == 0
+        config = json.load(open(out))["meta"]["config"]
+        assert config["parity"] == "even"
+        assert "rho" not in config and "blocks" not in config
 
 
 class TestFanCommand:

@@ -190,11 +190,22 @@ class TestEnumerateFan:
         with pytest.raises(ConfigError):
             enumerate_fan(FIX, 2, 3, 30.0, growth, recs)
 
+    def test_fan_past_the_cap_is_refused(self, monkeypatch):
+        growth = parse_growth("pow:1")
+        recs = records_upto(1600)
+        count = len(enumerate_fan(FIX, 2, 2, 40.0, growth, recs))
+        monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
+        assert len(enumerate_fan(FIX, 2, 2, 40.0, growth, recs)) == count
+        monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count - 1)
+        with pytest.raises(ConfigError, match=f"MAX_FAN_ELEMENTS = {count - 1}"):
+            enumerate_fan(FIX, 2, 2, 40.0, growth, recs)
+
 
 def fan_law(m, w, X, growth, recs, trials, seed):
     """The walk law of the fan, sampled from the list enumerate_fan built."""
     elements = enumerate_fan(FIX, m, w, X, growth, recs)
-    return fan_distribution(elements, ln_sequence(growth, X, m), recs, 1.0, trials, seed)
+    bounds = ln_sequence(growth, X, m)
+    return fan_distribution(elements, bounds, recs, Distribution.point_mass(0), trials, seed)
 
 
 class TestFanDistribution:
