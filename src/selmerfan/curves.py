@@ -1,22 +1,24 @@
 """Mod-3 torsion data and prime classification for elliptic curves over Q.
 
 For a curve y^2 = x^3 + Ax + B and a good prime p > 3 this module computes
-the Frobenius trace a_p by a quadratic character sum, the conjugacy class
-of Frobenius on E[3] in GL2(F3), and what that class determines: the
-F3-dimensions of the 3-torsion over F_p and over F_{p^2} (the fixed
-dimensions of Frobenius and of its square), splitting in the quadratic
-cyclotomic field and the support flags.
+the Frobenius trace a_p, the conjugacy class of Frobenius on E[3] in
+GL2(F3), and what that class determines: the F3-dimensions of the
+3-torsion over F_p and over F_{p^2} (the fixed dimensions of Frobenius
+and of its square), splitting in the quadratic cyclotomic field and the
+support flags.
 
 Trace a_p and determinant p mod 3 pick the class, except where a scalar
 and a unipotent class both fit; one test, x^p = x modulo the 3-division
 polynomial, tells those two apart. Nothing here enumerates GL2(F3): the
 class, both torsion dimensions and the predicted densities are read off
-`gl2f3.conjugacy_classes()`. Point counting is the naive O(p) sum,
-capped at p <= 10^6.
+`gl2f3.conjugacy_classes()`. Point counting is a quadratic character sum
+for p <= 229 and Shanks-Mestre baby-step giant-step above it, with
+O(p^(1/4)) group operations per point; p is capped at 10^6.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 from multiprocessing import Pool
 
 import numpy as np
@@ -25,6 +27,9 @@ from .errors import ConfigError, ConsistencyError
 from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim_density
 
 MAX_PRIME = 10**6
+# above this, E or its quadratic twist has a point whose order has exactly one
+# multiple in the Hasse interval (Mestre's theorem, with Schoof's bound)
+MESTRE_BOUND = 229
 
 
 class ReductionError(ConfigError):
@@ -100,19 +105,142 @@ def _check_prime(curve: CurveQ, p: int) -> None:
 
 
 def ap(curve: CurveQ, p: int) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p) via the character sum over x."""
+    """Frobenius trace a_p = p + 1 - #E(F_p).
+
+    For p <= 229 this is the quadratic character sum over x. Above it,
+    #E(F_p) comes from Shanks-Mestre baby-step giant-step: the orders of
+    points on E and on its quadratic twist are found by searching the
+    Hasse interval, until it holds exactly one N that is a multiple of
+    every order found on E with 2p + 2 - N a multiple of every order
+    found on the twist. Mestre's theorem guarantees that for p > 229.
+    The points are taken at x = 0, 1, 2, ... in turn, not drawn at
+    random, so the work done, like the result, depends only on the curve
+    and p: there is no seed.
+    """
     _check_prime(curve, p)
     A, B = curve.A % p, curve.B % p
-    xs = np.arange(p, dtype=np.int64)
-    x2 = xs * xs % p
-    f = (x2 * xs + A * xs + B) % p
-    squares = np.zeros(p, dtype=np.int8)
-    squares[x2] = 1
-    chi = np.where(f == 0, 0, np.where(squares[f] == 1, 1, -1))
-    a = -int(chi.sum())
+    if p > MESTRE_BOUND:
+        a = p + 1 - _mestre_count(A, B, p)
+    else:
+        xs = np.arange(p, dtype=np.int64)
+        x2 = xs * xs % p
+        f = (x2 * xs + A * xs + B) % p
+        squares = np.zeros(p, dtype=np.int8)
+        squares[x2] = 1
+        chi = np.where(f == 0, 0, np.where(squares[f] == 1, 1, -1))
+        a = -int(chi.sum())
     if a * a > 4 * p:
         raise ConsistencyError(f"Hasse bound violated at p = {p}: a_p = {a}")
     return a
+
+
+def _add(P: tuple[int, int] | None, Q: tuple[int, int] | None, a: int, p: int
+         ) -> tuple[int, int] | None:
+    """P + Q on y^2 = x^3 + ax + b over F_p, in affine coordinates; None is infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _mul(n: int, P: tuple[int, int] | None, a: int, p: int) -> tuple[int, int] | None:
+    """n * P for n >= 0, by left-to-right double and add."""
+    R = None
+    for bit in bin(n)[2:]:
+        R = _add(R, R, a, p)
+        if bit == "1":
+            R = _add(R, P, a, p)
+    return R
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _point_order(P: tuple[int, int], a: int, p: int, lo: int, hi: int) -> int:
+    """The order of P, given that some n in [lo, hi] has n * P = infinity.
+
+    Baby steps j * P for 1 <= j <= m, keyed by x, and giant steps
+    (lo + m + i(2m + 1)) * P find a multiple n of the order, since a giant
+    step equal to +-j * P, or to infinity, puts n within m of it. Removing
+    every prime the order does not need from n leaves the order.
+    """
+    m = isqrt((hi - lo) // 2) + 1
+    baby: dict[int, tuple[int, int]] = {}
+    Q = P
+    for j in range(1, m + 1):
+        if Q is not None:
+            baby[Q[0]] = (j, Q[1])
+        Q = _add(Q, P, a, p)
+    step, c = 2 * m + 1, lo + m
+    G, R = _mul(step, P, a, p), _mul(c, P, a, p)
+    while R is not None and R[0] not in baby:
+        R, c = _add(R, G, a, p), c + step
+        if c - m > hi:
+            raise ConsistencyError(f"no multiple of a point's order in [{lo}, {hi}] at p = {p}")
+    n = c
+    if R is not None:
+        j, y = baby[R[0]]
+        n = c - j if R[1] == y else c + j
+    for q in _prime_factors(n):
+        while n % q == 0 and _mul(n // q, P, a, p) is None:
+            n //= q
+    return n
+
+
+def _mestre_count(A: int, B: int, p: int) -> int:
+    """#E(F_p) for E: y^2 = x^3 + Ax + B and p > 229, by Shanks-Mestre.
+
+    At each x with d = f(x) != 0, the point (dx, d^2) lies on
+    Y^2 = X^3 + Ad^2 X + Bd^3, which is E when d is a square and its
+    quadratic twist when it is not, so no square root is taken. The lcms
+    of the point orders found divide #E and 2p + 2 - #E; the candidates
+    in the Hasse interval are one residue class, by the Chinese remainder
+    theorem, and the walk stops when that class meets the interval once.
+    """
+    w = isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    lcm_e, lcm_twist = 1, 1
+    for x in range(p):
+        d = (x * x * x + A * x + B) % p
+        if d == 0:
+            continue
+        order = _point_order((d * x % p, d * d % p), A * d * d % p, p, lo, hi)
+        if pow(d, (p - 1) // 2, p) == 1:
+            lcm_e = lcm(lcm_e, order)
+        else:
+            lcm_twist = lcm(lcm_twist, order)
+        # #E = 0 mod lcm_e and #E = 2p + 2 mod lcm_twist
+        g = gcd(lcm_e, lcm_twist)
+        modulus = lcm_e * (lcm_twist // g)
+        if (2 * p + 2) % g:
+            raise ConsistencyError(f"point orders on E and its twist disagree at p = {p}")
+        k = (2 * p + 2) // g * pow(lcm_e // g, -1, lcm_twist // g) % (lcm_twist // g)
+        first = lo + (lcm_e * k - lo) % modulus
+        if first > hi:
+            raise ConsistencyError(f"no group order in the Hasse interval fits at p = {p}")
+        if first + modulus > hi:
+            return first
+    raise ConsistencyError(f"no point fixes #E in the Hasse interval at p = {p}")
 
 
 def division_poly_3(curve: CurveQ) -> tuple[int, int, int, int, int]:

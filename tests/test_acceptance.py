@@ -8,6 +8,7 @@ that holds its mass, and criterion 4 also compares the average of two
 consecutive iterates with the stationary law. Every target is derived from
 ``stationary``; see the README's "Period-2 limits" section for the argument.
 """
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -34,6 +35,7 @@ from selmerfan.f3geom import (
 )
 from selmerfan.fans import enumerate_fan, lift_count, ln_sequence, parse_growth
 from selmerfan.gl2f3 import det_coset_stats, enumerate_group, match_class, sl2_no_index2_normal
+from selmerfan.store import record_to_line
 
 # fixture attested to have full mod-3 image: the empirical class densities
 # over p <= 3000 hit all eight conjugacy classes at their predicted
@@ -191,6 +193,14 @@ def test_criterion_7_parallel_under_1_min_same_records():
     parallel = classified(jobs=8)
     assert _CLASSIFIED["t8"] < 60.0
     assert parallel == serial
+
+
+def test_criterion_7_canonical_cache_bytes():
+    # the canonical cache of the fixture to 1e5, byte for byte, whatever
+    # method counts the points
+    records = classified(jobs=1)
+    digest = hashlib.sha256("".join(record_to_line(r) for r in records).encode("utf-8")).hexdigest()
+    assert digest == "ec773b46cf3e8066e7d8bc4bc4a1e1390c5b2f435653ec4127210429a4119df8"
 
 
 def test_criterion_7b_inert_split_is_half():

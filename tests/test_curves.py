@@ -27,6 +27,7 @@ from selmerfan.curves import (
     is_prime,
     primes_upto,
 )
+from selmerfan import curves
 from selmerfan.errors import ConfigError, ConsistencyError
 
 FIX = CurveQ(1, 1, "fix")
@@ -55,6 +56,15 @@ def curve_points(a, b, p):
             if y * y % p == f:
                 pts.append((x, y))
     return pts
+
+
+def legendre_ap(a, b, p):
+    """a_p = -sum over x of the Legendre symbol of x^3 + ax + b, by Euler's criterion."""
+    import numpy as np
+
+    xs = np.arange(p, dtype=np.int64)
+    chi = pow_mod((xs * xs % p * xs + a * xs + b) % p, (p - 1) // 2, p)
+    return -int(np.where(chi == p - 1, -1, chi).sum())
 
 
 def pt_add(P, Q, a, p):
@@ -253,6 +263,61 @@ class TestAgainstBruteForce:
         assert dim3_fp2(curve, p) == dims[torsion[1]] + dims[torsion[p - 1]]
         x = ap(curve, p)
         assert ((p + 1) ** 2 - x * x) % 3 ** dim3_fp2(curve, p) == 0
+
+
+SIX_CURVES = [(1, 1), (2, 3), (0, -432), (-3, 18), (0, 1), (1, 0)]
+
+
+class TestBabyStepGiantStep:
+    """a_p above the 229 cutoff comes from Shanks-Mestre, checked against a character sum."""
+
+    @pytest.mark.parametrize("a,b", SIX_CURVES)
+    def test_matches_character_sum_to_5000(self, a, b):
+        # includes the CM curves with j = 0 and j = 1728
+        curve = CurveQ(a, b)
+        for p in good_primes(curve, 5000):
+            assert ap(curve, p) == legendre_ap(a, b, p), (a, b, p)
+
+    @pytest.mark.parametrize(
+        "a,b,pins",
+        [
+            pytest.param(1, 1, {223: -20, 227: 0, 229: -2, 233: -3, 239: -22,
+                                999953: -1140, 999983: -700}, id="fix"),
+            pytest.param(0, -432, {223: -28, 227: 0, 229: -22, 233: 0, 239: 0,
+                                   999953: 0, 999983: 0}, id="cm"),
+        ],
+    )
+    def test_pinned_values_at_the_cutoff_and_near_the_cap(self, a, b, pins):
+        curve = CurveQ(a, b)
+        assert {p: ap(curve, p) for p in pins} == pins
+
+    def test_below_the_cutoff_never_a_wrong_count(self, monkeypatch):
+        # at small p a point order can leave several counts in the Hasse
+        # interval on both curves; the walk must then raise, not guess
+        monkeypatch.setattr(curves, "MESTRE_BOUND", 3)
+        ambiguous = set()
+        for a, b in itertools.product(range(-6, 7), repeat=2):
+            if 4 * a**3 + 27 * b**2 == 0:
+                continue
+            curve = CurveQ(a, b)
+            for p in good_primes(curve, 229):
+                try:
+                    assert ap(curve, p) == legendre_ap(a, b, p), (a, b, p)
+                except ConsistencyError:
+                    ambiguous.add(p)
+        assert ambiguous and max(ambiguous) == 29
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50),
+       st.sampled_from([p for p in primes_upto(1000) if p > 229]))
+@settings(max_examples=80, deadline=None)
+def test_random_curves_match_legendre_count(A, B, p):
+    if 4 * A**3 + 27 * B**2 == 0:
+        return
+    curve = CurveQ(A, B)
+    if curve.discriminant % p == 0:
+        return
+    assert ap(curve, p) == legendre_ap(A, B, p)
 
 
 class TestStructuralInvariants:
