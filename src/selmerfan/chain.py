@@ -12,7 +12,7 @@ tables and even rank deltas, one reproducible substream per trial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,17 +25,16 @@ MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability masses on dimensions 0..s_max, total pinned to 1."""
+    """Probability masses on dimensions 0..S_MAX, total pinned to 1."""
 
     mass: dict[int, float]
-    s_max: int = S_MAX
-    truncation_error: float = 0.0
+    truncation_error: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self) -> None:
         clean: dict[int, float] = {}
         for s, m in self.mass.items():
-            if not isinstance(s, (int, np.integer)) or s < 0 or s > self.s_max:
-                raise ConfigError(f"support point {s} outside 0..{self.s_max}")
+            if not isinstance(s, (int, np.integer)) or s < 0 or s > S_MAX:
+                raise ConfigError(f"support point {s} outside 0..{S_MAX}")
             if m < 0:
                 raise ConfigError(f"negative mass {m} at {s}")
             if m > 0:
@@ -130,15 +129,21 @@ def rank_delta_split(i: int, t: int, lift: int) -> int:
 
 def rank_delta_inert(i: int, t: int) -> int:
     """Even rank jump for an inert prime of class i, trace t."""
-    if i == 2:
-        raise ConfigError("inert primes never carry a 2-dimensional local class")
     if i not in (0, 1):
-        raise ConfigError(f"inert class must be 0 or 1, got {i}")
+        raise ConfigError(f"inert primes carry local class 0 or 1, got {i}")
     if t < 0 or t > i:
         raise ConfigError(f"trace dimension {t} impossible for class {i}")
     if i == 0:
         return 0
     return 2 if t == 0 else -2
+
+
+# the rank jumps, indexed [trace, lift], of each (class, is_split) a stream element can carry
+_JUMPS = {
+    (i, is_split): np.array([[rank_delta_split(i, t, lift) if is_split else rank_delta_inert(i, t)
+                              for lift in range(6)] for t in range(i + 1)])
+    for i in (0, 1, 2) for is_split in (True, False) if is_split or i < 2
+}
 
 
 def ml_step(d: Distribution) -> Distribution:
@@ -147,7 +152,7 @@ def ml_step(d: Distribution) -> Distribution:
     lost = 0.0
     for s, m in d.mass.items():
         up = 3.0 ** (-r_omega(s))
-        if s + 2 <= d.s_max:
+        if s + 2 <= S_MAX:
             out[s + 2] = out.get(s + 2, 0.0) + m * up
         else:
             lost += m * up
@@ -159,7 +164,7 @@ def ml_step(d: Distribution) -> Distribution:
     if lost > 0.0:
         keep = 1.0 - lost
         out = {s: m / keep for s, m in out.items()}
-    return Distribution(out, d.s_max, d.truncation_error + lost)
+    return Distribution(out, truncation_error=d.truncation_error + lost)
 
 
 def evolve(d: Distribution, w: int) -> Distribution:
@@ -249,10 +254,8 @@ def _stream_element(e) -> tuple[int, bool]:
         if kind not in ("split", "inert"):
             raise ConfigError(f"prime kind must be 'split' or 'inert', got {kind!r}")
         is_split = kind == "split"
-    if i not in (0, 1, 2):
-        raise ConfigError(f"local class must be 0, 1 or 2, got {i}")
-    if i == 2 and not is_split:
-        raise ConfigError("inert primes never carry a 2-dimensional local class")
+    if (i, is_split) not in _JUMPS:
+        raise ConfigError(f"no {'split' if is_split else 'inert'} prime has local class {i}")
     return i, is_split
 
 
@@ -283,28 +286,26 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     elements = [_stream_element(e) for e in prime_stream]
     u = _uniform_matrix(seed, trials, 1 + 2 * len(elements))
     s = _draw_initial(initial, u[:, 0])
-    for idx, (i, _) in enumerate(elements):
-        ut = u[:, 1 + 2 * idx]
-        ul = u[:, 2 + 2 * idx]
+    for idx, (i, is_split) in enumerate(elements):
         if i == 0:
             continue
-        r = s >> 1
-        x = np.power(3.0, -r.astype(np.float64))
+        jumps = _JUMPS[i, is_split]
+        ut = u[:, 1 + 2 * idx]
+        x = np.power(3.0, -(s >> 1).astype(np.float64))
         t0 = ut < _cij_entry(i, 0, x)
         if i == 1:
-            delta = np.where(t0, 2, -2)
+            # a class-1 jump depends on the trace alone
+            delta = np.where(t0, jumps[0, 0], jumps[1, 0])
         else:
-            t2 = ut >= 1.0 - _cij_entry(2, 2, x)
-            plus4 = t0 & ((ul * 6).astype(np.int64) < 2)
-            delta = np.where(t2, -4, np.where(plus4, 4, 0))
-        # the i=1 jump table is the same for split and inert primes
+            t = np.where(t0, 0, np.where(ut >= 1.0 - _cij_entry(2, 2, x), 2, 1))
+            delta = jumps[t, (u[:, 2 + 2 * idx] * 6).astype(np.int64)]
         s = s + delta
         if np.any(s < 0):
             raise ConsistencyError("walk reached a negative dimension")
-    kept = s <= initial.s_max
+    kept = s <= S_MAX
     n_kept = int(kept.sum())
     if n_kept == 0:
         raise ConsistencyError("every trial overflowed the support bound")
     values, counts = np.unique(s[kept], return_counts=True)
     mass = {int(v): c / n_kept for v, c in zip(values, counts)}
-    return Distribution(mass, initial.s_max, (trials - n_kept) / trials)
+    return Distribution(mass, truncation_error=(trials - n_kept) / trials)

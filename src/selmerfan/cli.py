@@ -34,7 +34,7 @@ from .chain import (
     tail_constant,
     tail_exact,
 )
-from .curves import CurveQ, density_report, frobenius_class
+from .curves import CurveQ, check_density_bound, density_report, frobenius_class
 from .errors import ConfigError, ConsistencyError, DataError
 from .f3geom import QuadSpace, Subspace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
 from .fans import FanElement, enumerate_fan, fan_distribution, lift_count, ln_sequence, parse_growth
@@ -192,6 +192,7 @@ def _run_classify(config: argparse.Namespace) -> dict:
 
 
 def _run_densities(config: argparse.Namespace) -> dict:
+    check_density_bound(config.max_prime)
     curve = _load_curve(config)
     _, records, _ = _curve_cache(config, curve, config.max_prime)
     return density_report(curve, config.max_prime, records=list(records.values()))
@@ -203,12 +204,13 @@ def _run_frobclass(config: argparse.Namespace) -> dict:
 
 
 def _run_fan(config: argparse.Namespace) -> dict:
+    if config.trials is not None:
+        _require(config, "seed")
     curve = _load_curve(config)
     growth = parse_growth(config.growth)
     bounds = ln_sequence(growth, config.X, config.m)
-    top = math.ceil(bounds[-1]) - 1
-    _, records, _ = _curve_cache(config, curve, top)
-    elements = enumerate_fan(curve, config.m, config.w, config.X, growth, records)
+    _, records, _ = _curve_cache(config, curve, math.ceil(bounds[-1]) - 1)
+    elements = enumerate_fan(curve, bounds, config.w, records)
     payload = {
         "label": curve.label,
         "m": config.m,
@@ -224,7 +226,6 @@ def _run_fan(config: argparse.Namespace) -> dict:
         _atomic_write(config.emit_cubics, csv)
         payload["cubics_file"] = config.emit_cubics
     if config.trials is not None:
-        _require(config, "seed")
         initial = RhoE(config.rho).initial_distribution()
         emp = fan_distribution(elements, bounds, records, initial, config.trials, config.seed)
         payload.update(_distribution_payload(emp))
@@ -329,6 +330,10 @@ def _atomic_write(path: str, text: str) -> None:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
+        # mkstemp creates 0600; give the report the mode a plain create would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -367,15 +367,15 @@ def good_primes(curve: CurveQ, max_prime: int) -> list[int]:
     return [p for p in primes_upto(max_prime) if p > 3 and curve.discriminant % p != 0]
 
 
-def classify_range(curve: CurveQ, max_prime: int) -> list[PrimeClassRecord]:
-    """Records for every good prime 3 < p <= max_prime, ascending."""
-    return classify_primes(curve, good_primes(curve, max_prime))
+def check_density_bound(max_prime: int) -> None:
+    """Refuse a density report below 100, where too few primes are counted."""
+    if max_prime < 100:
+        raise ConfigError("density report needs max_prime >= 100")
 
 
 def density_report(curve: CurveQ, max_prime: int, records: list[PrimeClassRecord]) -> dict:
     """Class frequencies of the records up to max_prime against the GL2(F3) predictions."""
-    if max_prime < 100:
-        raise ConfigError("density report needs max_prime >= 100")
+    check_density_bound(max_prime)
     records = sorted((r for r in records if r.p <= max_prime), key=lambda r: r.p)
     split = [r for r in records if r.split_in_F]
     inert = [r for r in records if not r.split_in_F]

@@ -150,27 +150,22 @@ def _support(bounds: list[float], records: dict[int, PrimeClassRecord]) -> list[
 
 
 def enumerate_fan(
-    curve: CurveQ,
-    m: int,
-    w: int,
-    X: float,
-    L: GrowthFn,
-    records: dict[int, PrimeClassRecord],
+    curve: CurveQ, bounds: list[float], w: int, records: dict[int, PrimeClassRecord]
 ) -> list[FanElement]:
-    """All weight-w support tuples under the positional bounds, sorted.
+    """All weight-w support m-tuples under the bounds L_1..L_m of ln_sequence, sorted.
 
-    A sorted tuple is admissible when q_j < L_j(X) position by position;
-    the bounds are nondecreasing, so this is exactly the existence of an
+    A sorted tuple is admissible when q_j < L_j position by position; the
+    bounds are nondecreasing, so this is exactly the existence of an
     assignment of primes to positions. The records must cover every good
-    prime below the last bound; a gap in them is an error, not a silent shrink.
-    A fan of more than MAX_FAN_ELEMENTS elements is refused as soon as the
-    list would pass the cap.
+    prime below the last bound; a gap in them is an error, not a silent
+    shrink. A fan of more than MAX_FAN_ELEMENTS elements is refused as soon
+    as the list would pass the cap.
     """
+    m = len(bounds)
     if m < 1:
         raise ConfigError(f"fan needs m >= 1, got {m}")
     if w < 0 or w > m:
         raise ConfigError(f"weight must lie in 0..{m}, got {w}")
-    bounds = ln_sequence(L, X, m)
     missing = [p for p in good_primes(curve, math.ceil(bounds[-1]) - 1) if p not in records]
     if missing:
         raise DataError(
@@ -289,8 +284,5 @@ def fan_distribution(
         total_kept += kept
         for s, mass in emp.mass.items():
             merged[s] = merged.get(s, 0.0) + mass * kept
-    return Distribution(
-        {s: v / total_kept for s, v in merged.items()},
-        initial.s_max,
-        (trials - total_kept) / trials,
-    )
+    mass = {s: v / total_kept for s, v in merged.items()}
+    return Distribution(mass, truncation_error=(trials - total_kept) / trials)

@@ -24,7 +24,7 @@ from selmerfan.chain import (
     tail_constant,
     tail_exact,
 )
-from selmerfan.curves import CurveQ, classify_primes, classify_range, good_primes
+from selmerfan.curves import CurveQ, classify_primes, good_primes
 from selmerfan.f3geom import (
     Subspace,
     enumerate_subspaces,
@@ -90,12 +90,12 @@ def class_law(parity: str, c: int) -> Distribution:
     part = {s: m for s, m in law.mass.items() if s % 4 == c % 4}
     class_mass = sum(part.values())
     assert abs(class_mass - 0.5) < 1e-12, (parity, c, class_mass)
-    return Distribution({s: m / class_mass for s, m in part.items()}, law.s_max)
+    return Distribution({s: m / class_mass for s, m in part.items()})
 
 
 def average(a: Distribution, b: Distribution) -> Distribution:
     keys = set(a.mass) | set(b.mass)
-    return Distribution({s: (a.pmf(s) + b.pmf(s)) / 2 for s in keys}, a.s_max)
+    return Distribution({s: (a.pmf(s) + b.pmf(s)) / 2 for s in keys})
 
 
 def check_pointmass_limits(parity: str, s0: int) -> None:
@@ -239,11 +239,12 @@ def test_criterion_9_fan_matches_naive_reference():
     t0 = time.perf_counter()
     growth = parse_growth("pow:1")
     bounds = ln_sequence(growth, 200.0, 2)
-    records = {r.p: r for r in classify_range(FIXTURE, math.ceil(bounds[-1]))}
+    primes = good_primes(FIXTURE, math.ceil(bounds[-1]))
+    records = {r.p: r for r in classify_primes(FIXTURE, primes)}
     support = [p for p in sorted(records) if records[p].in_DB_support]
 
     for w in (1, 2):
-        fan = enumerate_fan(FIXTURE, 2, w, 200.0, growth, records)
+        fan = enumerate_fan(FIXTURE, bounds, w, records)
         naive = []
         for i, q1 in enumerate(support):
             if q1 >= bounds[0]:
@@ -261,7 +262,7 @@ def test_criterion_9_fan_matches_naive_reference():
             assert all(k**3 != d for k in (root - 1, root, root + 1))
             assert lift_count(elem) == 36
 
-    single = enumerate_fan(FIXTURE, 1, 1, 200.0, growth, records)
+    single = enumerate_fan(FIXTURE, bounds[:1], 1, records)
     naive_single = [
         (p,) for p in support if p < 200.0 and records[p].dim_fp == 1
     ]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selmerfan.chain import (
+    S_MAX,
     Distribution,
     RhoE,
     _draw_initial,
@@ -200,10 +201,13 @@ class TestOperator:
             RhoE(-0.1)
 
     def test_truncation_is_tracked(self):
-        d = Distribution({8: 1.0}, 8)
+        d = Distribution({S_MAX: 1.0})
         stepped = ml_step(d)
-        assert stepped.truncation_error == pytest.approx(3.0 ** -4)
-        assert stepped.pmf(6) == 1.0
+        assert stepped.truncation_error == pytest.approx(3.0 ** -(S_MAX // 2))
+        assert stepped.pmf(S_MAX - 2) == 1.0
+        # a positional truncation error is refused, not read as something else
+        with pytest.raises(TypeError):
+            Distribution({0: 1.0}, 0.25)
 
 
 class TestStationary:
@@ -348,13 +352,13 @@ def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed
         state = ChainState(int(s0[trial]))
         for idx, e in enumerate(elements):
             state = _walk_scalar(state, e, u[trial, 1 + 2 * idx], u[trial, 2 + 2 * idx])
-        if state.dim > initial.s_max:
+        if state.dim > S_MAX:
             dropped += 1
         else:
             counts[state.dim] = counts.get(state.dim, 0) + 1
     kept = trials - dropped
     mass = {s: c / kept for s, c in counts.items()}
-    return Distribution(mass, initial.s_max, dropped / trials)
+    return Distribution(mass, truncation_error=dropped / trials)
 
 
 class TestSimulation:

@@ -98,6 +98,29 @@ class TestExitCodes:
         assert "exceeds the supported bound" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
 
+    def test_fan_trials_without_seed_is_2_before_any_work(
+        self, tmp_path, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        cubics = str(tmp_path / "cubics.csv")
+        rc = main(
+            ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "2",
+             "--X", "40", "--growth", "pow:1", "--emit-cubics", cubics, "--trials", "100"]
+        )
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+        assert not os.path.exists(cubics)
+
+    def test_densities_below_100_is_2_before_any_work(
+        self, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        rc = main(
+            ["densities", "--curve-file", curve_file, "--label", "fix", "--max-prime", "99"]
+        )
+        assert rc == 2
+        assert "max_prime >= 100" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
     def test_classify_without_max_prime_is_2_before_any_work(self, capsys, curve_file, cache_dir):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--curve-file", curve_file, "--label", "fix"])
@@ -202,6 +225,24 @@ class TestReportDeterminism:
         out = str(out_dir / "r.json")
         main(["tailbound", "--s", "6", "--out", out])
         assert sorted(os.listdir(out_dir)) == ["r.json"]
+
+    def test_new_out_file_gets_the_umask_mode(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        old = os.umask(0o022)
+        try:
+            assert main(["tailbound", "--s", "6", "--out", out]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+    # the stream crosses every jump table: split and inert class 1, class 2
+    # and the class-0 no-op; recorded before the jumps were read off a table
+    def test_simulate_stdout_is_pinned(self, capsys):
+        argv = ["simulate", "--trials", "4000", "--seed", "5", "--rho", "0.6",
+                "--synthetic", "6x1s+2x2s+3x0i+2x1i"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "2523dd1fd0c67d1c8b4b0662b95b40093950f14332f9d7ba51fa702e86368951"
 
     def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
         fifo = str(tmp_path / "report.fifo")

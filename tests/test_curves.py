@@ -17,7 +17,6 @@ from selmerfan.curves import (
     ap,
     classify_prime,
     classify_primes,
-    classify_range,
     density_report,
     dim3_fp,
     dim3_fp2,
@@ -386,7 +385,7 @@ class TestClassification:
         assert rec.in_DB_support == (rec.dim_fp != 2)
 
     def test_classify_range_structure(self):
-        recs = classify_range(FIX, 300)
+        recs = classify_primes(FIX, good_primes(FIX, 300))
         assert [r.p for r in recs] == good_primes(FIX, 300)
         for r in recs:
             assert r.dim_fp <= r.dim_fp2
@@ -438,7 +437,7 @@ class TestClassification:
 
 class TestDensityReport:
     def test_shape_and_mass(self):
-        report = density_report(FIX, 2000, classify_range(FIX, 2000))
+        report = density_report(FIX, 2000, classify_primes(FIX, good_primes(FIX, 2000)))
         assert report["primes"] > 0
         split_rows = [r for r in report["rows"] if r["coset"] == "split"]
         assert sum(r["empirical"] for r in split_rows) == pytest.approx(1.0)
@@ -448,8 +447,8 @@ class TestDensityReport:
 
     def test_reuses_supplied_records(self):
         # records above max_prime are ignored
-        a = density_report(FIX, 1500, records=classify_range(FIX, 3000))
-        b = density_report(FIX, 1500, records=classify_range(FIX, 1500))
+        a = density_report(FIX, 1500, records=classify_primes(FIX, good_primes(FIX, 3000)))
+        b = density_report(FIX, 1500, records=classify_primes(FIX, good_primes(FIX, 1500)))
         assert a == b
 
     def test_small_range_rejected(self):

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from selmerfan.chain import Distribution, evolve
-from selmerfan.curves import CurveQ, classify_range, is_prime
+from selmerfan.curves import CurveQ, classify_primes, good_primes, is_prime
 from selmerfan.errors import ConfigError, DataError
 from selmerfan.fans import (
     FanElement,
@@ -23,7 +23,7 @@ FIX = CurveQ(1, 1, "fix")
 
 
 def records_upto(bound):
-    return {r.p: r for r in classify_range(FIX, bound)}
+    return {r.p: r for r in classify_primes(FIX, good_primes(FIX, bound))}
 
 
 class TestGrowthFn:
@@ -124,14 +124,14 @@ class TestEnumerateFan:
         for m, w, X in [(1, 0, 30.0), (1, 1, 30.0), (2, 1, 14.0), (2, 2, 14.0)]:
             bounds = ln_sequence(growth, X, m)
             recs = records_upto(math.ceil(bounds[-1]))
-            got = enumerate_fan(FIX, m, w, X, growth, recs)
+            got = enumerate_fan(FIX, bounds, w, recs)
             want = naive_fan(recs, m, w, bounds)
             assert [e.primes for e in got] == want, (m, w)
 
     def test_known_small_fan(self):
         growth = parse_growth("pow:1")
         recs = records_upto(196)
-        fan = enumerate_fan(FIX, 2, 1, 14.0, growth, recs)
+        fan = enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 1, recs)
         assert len(fan) == 76
         first = fan[0]
         assert first.primes == (5, 7)
@@ -144,7 +144,7 @@ class TestEnumerateFan:
         recs = records_upto(196)
         # x^3 - d is irreducible unless d is a cube; a product of distinct
         # primes greater than 1 is squarefree, so never a cube
-        for elem in enumerate_fan(FIX, 2, 2, 14.0, growth, recs):
+        for elem in enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 2, recs):
             assert elem.d_value > 1
             assert len(set(elem.primes)) == len(elem.primes)
             assert all(is_prime(q) for q in elem.primes)
@@ -153,7 +153,7 @@ class TestEnumerateFan:
     def test_weight_accounting(self):
         growth = parse_growth("pow:1")
         recs = records_upto(900)
-        fan = enumerate_fan(FIX, 2, 2, 30.0, growth, recs)
+        fan = enumerate_fan(FIX, ln_sequence(growth, 30.0, 2), 2, recs)
         for elem in fan:
             assert elem.w == 2
             assert sum(recs[q].dim_fp for q in elem.primes) == 2
@@ -162,7 +162,7 @@ class TestEnumerateFan:
         recs = records_upto(196)
         gc.disable()
         try:
-            fan = enumerate_fan(FIX, 2, 1, 14.0, parse_growth("pow:1"), recs)
+            fan = enumerate_fan(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
             ref = weakref.ref(fan[0])
             del fan
             assert ref() is None
@@ -174,37 +174,38 @@ class TestEnumerateFan:
         recs = records_upto(100)
         recs.pop(13)
         with pytest.raises(DataError, match="missing"):
-            enumerate_fan(FIX, 1, 1, 30.0, growth, recs)
+            enumerate_fan(FIX, ln_sequence(growth, 30.0, 1), 1, recs)
 
     def test_short_cache_is_loud(self):
         growth = parse_growth("pow:1")
         recs = records_upto(50)
         with pytest.raises(DataError):
-            enumerate_fan(FIX, 2, 1, 14.0, growth, recs)
+            enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 1, recs)
 
     def test_bad_parameters(self):
         growth = parse_growth("pow:1")
         recs = records_upto(100)
-        with pytest.raises(ConfigError):
-            enumerate_fan(FIX, 0, 0, 30.0, growth, recs)
-        with pytest.raises(ConfigError):
-            enumerate_fan(FIX, 2, 3, 30.0, growth, recs)
+        with pytest.raises(ConfigError, match="m >= 1"):
+            enumerate_fan(FIX, [], 0, recs)
+        with pytest.raises(ConfigError, match="weight must lie in 0..2"):
+            enumerate_fan(FIX, ln_sequence(growth, 30.0, 2), 3, recs)
 
     def test_fan_past_the_cap_is_refused(self, monkeypatch):
         growth = parse_growth("pow:1")
         recs = records_upto(1600)
-        count = len(enumerate_fan(FIX, 2, 2, 40.0, growth, recs))
+        bounds = ln_sequence(growth, 40.0, 2)
+        count = len(enumerate_fan(FIX, bounds, 2, recs))
         monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
-        assert len(enumerate_fan(FIX, 2, 2, 40.0, growth, recs)) == count
+        assert len(enumerate_fan(FIX, bounds, 2, recs)) == count
         monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count - 1)
         with pytest.raises(ConfigError, match=f"MAX_FAN_ELEMENTS = {count - 1}"):
-            enumerate_fan(FIX, 2, 2, 40.0, growth, recs)
+            enumerate_fan(FIX, bounds, 2, recs)
 
 
 def fan_law(m, w, X, growth, recs, trials, seed):
     """The walk law of the fan, sampled from the list enumerate_fan built."""
-    elements = enumerate_fan(FIX, m, w, X, growth, recs)
     bounds = ln_sequence(growth, X, m)
+    elements = enumerate_fan(FIX, bounds, w, recs)
     return fan_distribution(elements, bounds, recs, Distribution.point_mass(0), trials, seed)
 
 

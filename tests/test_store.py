@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from selmerfan.curves import CurveQ, classify_prime, classify_range
+from selmerfan.curves import CurveQ, classify_prime, classify_primes, good_primes
 from selmerfan import store
 from selmerfan.errors import DataError
 from selmerfan.store import (
@@ -84,7 +84,7 @@ class TestRecordLines:
 class TestCache:
     def test_append_then_load(self, tmp_path):
         path = cache_path(str(tmp_path), "fix")
-        recs = classify_range(FIX, 200)
+        recs = classify_primes(FIX, good_primes(FIX, 200))
         assert append_records(path, recs) == len(recs)
         loaded = load_records(path)
         assert len(loaded) == len(recs)
@@ -92,7 +92,7 @@ class TestCache:
 
     def test_second_append_is_noop(self, tmp_path):
         path = cache_path(str(tmp_path), "fix")
-        recs = classify_range(FIX, 200)
+        recs = classify_primes(FIX, good_primes(FIX, 200))
         append_records(path, recs)
         before = open(path, "rb").read()
         assert append_records(path, recs) == 0
@@ -108,14 +108,14 @@ class TestCache:
             probes.append(fd)
 
         monkeypatch.setattr("selmerfan.store.os.fsync", probe)
-        assert append_records(path, classify_range(FIX, 100)) > 0
+        assert append_records(path, classify_primes(FIX, good_primes(FIX, 100))) > 0
         assert len(probes) == 1
         with open(path, "rb") as other:  # released once the append returns
             fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
     def test_append_reads_existing_keys_under_its_lock(self, tmp_path, monkeypatch):
         path = cache_path(str(tmp_path), "fix")
-        recs = classify_range(FIX, 200)
+        recs = classify_primes(FIX, good_primes(FIX, 200))
         monkeypatch.setattr(store, "load_records", lambda p: pytest.fail("separate read"))
         assert append_records(path, recs[:3]) == 3
         assert append_records(path, recs) == len(recs) - 3
@@ -127,7 +127,7 @@ class TestCache:
 
     def test_checksum_tracks_content(self, tmp_path):
         path = cache_path(str(tmp_path), "fix")
-        recs = classify_range(FIX, 100)
+        recs = classify_primes(FIX, good_primes(FIX, 100))
         append_records(path, recs[:3])
         c1 = cache_checksum(path)
         append_records(path, recs)
