@@ -330,10 +330,10 @@ def _atomic_write(path: str, text: str) -> None:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        # mkstemp creates 0600; give the report the mode a plain create would
+        # mkstemp creates 0600: keep an existing file's mode, else the umask's
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        os.chmod(tmp, os.stat(path).st_mode & 0o7777 if os.path.isfile(path) else 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -203,7 +203,7 @@ class TestOperator:
     def test_truncation_is_tracked(self):
         d = Distribution({S_MAX: 1.0})
         stepped = ml_step(d)
-        assert stepped.truncation_error == pytest.approx(3.0 ** -(S_MAX // 2))
+        assert stepped.truncation_error == 3.0 ** -(S_MAX // 2)
         assert stepped.pmf(S_MAX - 2) == 1.0
         # a positional truncation error is refused, not read as something else
         with pytest.raises(TypeError):

@@ -235,6 +235,18 @@ class TestReportDeterminism:
             os.umask(old)
         assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
 
+    def test_existing_out_file_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            assert main(["tailbound", "--s", "6", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+        assert out.read_text() != "old\n"
+
     # the stream crosses every jump table: split and inert class 1, class 2
     # and the class-0 no-op; recorded before the jumps were read off a table
     def test_simulate_stdout_is_pinned(self, capsys):
