@@ -251,7 +251,7 @@ def _run_lagrangians(config: argparse.Namespace) -> dict:
         space = hyperbolic_space(config.dim, config.blocks)
     payload = {"dim": config.dim, "blocks": config.blocks, "gram": space.gram}
     if config.blocks > 1:
-        # first, so that a bad block split fails before the full enumeration
+        # first, so that a bad block split fails before the full build
         coord = coordinatewise_lagrangians(space)
         payload["coordinatewise_count"] = len(coord)
         payload["coordinatewise"] = coord

@@ -2,8 +2,9 @@
 
 Subspaces are kept in reduced row-echelon form, which is the unique
 canonical representative, so equality of subspaces is tuple equality.
-Lagrangians filter the echelon enumeration of half-dimensional subspaces;
-coordinatewise Lagrangians are built as direct sums of block Lagrangians.
+Lagrangians are built row by row in echelon form, keeping a partial basis
+only while it stays isotropic; coordinatewise Lagrangians are built as
+direct sums of block Lagrangians.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
-MAX_AMBIENT_DIM = 6  # dim 8 would mean gaussian_binomial(8, 4) = 75,913,222 subspaces to filter
+MAX_AMBIENT_DIM = 6  # at dim 8 the row-by-row build takes seconds (2240 Lagrangians when hyperbolic)
 
 Vec = tuple[int, ...]
 
@@ -195,9 +196,38 @@ def is_totally_isotropic(space: QuadSpace, sub: Subspace) -> bool:
 
 
 def lagrangians(space: QuadSpace) -> list[Subspace]:
-    """All maximal totally isotropic (dim/2) subspaces, by exhaustion."""
-    half = space.dim // 2
-    return [w for w in enumerate_subspaces(space, half) if is_totally_isotropic(space, w)]
+    """All maximal totally isotropic (dim/2) subspaces, canonically sorted.
+
+    Walks the echelon parameterization of enumerate_subspaces one row at a
+    time and keeps a row r only if B(r, r) = 0 and B(r, s) = 0 for every
+    earlier row s. In characteristic 3, q(v) = B(v, v), so a basis that is
+    isotropic under B spans a totally isotropic subspace.
+    """
+    n, half = space.dim, space.dim // 2
+    out = []
+
+    def extend(pivots: tuple[int, ...], rows: list[Vec], images: list[Vec]) -> None:
+        # images[k] is gram . rows[k], so B(r, rows[k]) is a dot product
+        if len(rows) == half:
+            out.append(Subspace(n, tuple(rows)))
+            return
+        p = pivots[len(rows)]
+        free = [j for j in range(p + 1, n) if j not in pivots]
+        for values in itertools.product(range(3), repeat=len(free)):
+            row = [0] * n
+            row[p] = 1
+            for j, x in zip(free, values):
+                row[j] = x
+            if any(sum(a * b for a, b in zip(row, im)) % 3 for im in images):
+                continue
+            image = tuple(sum(g * x for g, x in zip(col, row)) % 3 for col in space.gram)
+            if sum(a * b for a, b in zip(row, image)) % 3 == 0:
+                extend(pivots, rows + [tuple(row)], images + [image])
+
+    for pivots in itertools.combinations(range(n), half):
+        extend(pivots, [], [])
+    out.sort(key=lambda s: s.basis)
+    return out
 
 
 def _block_space(space: QuadSpace, i: int) -> QuadSpace:
@@ -245,8 +275,8 @@ def ramified_coordinatewise_lagrangians(
     for i, mark in enumerate(distinguished):
         if mark.ambient_dim != space.block_dim:
             raise ConfigError(f"marked subspace {i} has wrong ambient dimension")
-        if not is_totally_isotropic(_block_space(space, i), mark):
-            raise ConfigError(f"marked subspace {i} is not isotropic for its block")
+        if mark.dim != space.block_dim // 2 or not is_totally_isotropic(_block_space(space, i), mark):
+            raise ConfigError(f"marked subspace {i} is not a Lagrangian of its block")
     return [
         w
         for parts, w in _block_lagrangian_sums(space)

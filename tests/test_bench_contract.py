@@ -16,6 +16,7 @@ import pytest
 import selmerfan.chain
 import selmerfan.cli  # loads every traced module, so the tracer rebinds names in all of them
 from selmerfan.chain import Distribution, simulate_chain
+from selmerfan.f3geom import hyperbolic_space
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -68,6 +69,9 @@ def test_cli_calls_fire_every_counter(tracing, tmp_path, monkeypatch, capsys):
     try:
         for argv in commands:
             assert selmerfan.cli.main(argv) == 0, argv
+        # no command enumerates subspaces since Lagrangians are built row by
+        # row; call it directly so its counter hook is still bound and run
+        selmerfan.f3geom.enumerate_subspaces(hyperbolic_space(2), 1)
     finally:
         recorder.uninstall()
     emitted = len(capsys.readouterr().out.encode())

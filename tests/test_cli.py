@@ -408,20 +408,36 @@ class TestLagrangianCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 2
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--dim", "6"], "b869fc328e7518dbe8bc1ad9355508a56c552a52a2e841235aa722ddfabe47d7"),
+            (["--dim", "6", "--blocks", "3"],
+             "6b4077055d88c774207b3a51d60a927b99671bba8a40772b08a0c9845282c598"),
+        ],
+        ids=["dim-6", "dim-6-blocks-3"],
+    )
+    def test_stdout_is_pinned(self, argv, digest, capsys):
+        # recorded while lagrangians still filtered all 33,880 subspaces
+        assert main(["lagrangians", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     @pytest.fixture
-    def no_enumeration(self, monkeypatch):
+    def no_build(self, monkeypatch):
         def refuse(*args):
-            raise RuntimeError("enumerate_subspaces called")
+            raise RuntimeError("lagrangians called")
 
-        monkeypatch.setattr("selmerfan.f3geom.enumerate_subspaces", refuse)
+        # cli binds the name at import; coordinatewise builds call it in f3geom
+        monkeypatch.setattr("selmerfan.cli.lagrangians", refuse)
+        monkeypatch.setattr("selmerfan.f3geom.lagrangians", refuse)
 
-    def test_odd_block_dimension_is_2(self, capsys, no_enumeration):
+    def test_odd_block_dimension_is_2(self, capsys, no_build):
         assert main(["lagrangians", "--dim", "6", "--blocks", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration error" in captured.err
 
-    def test_dim_above_cap_is_2(self, capsys, no_enumeration):
+    def test_dim_above_cap_is_2(self, capsys, no_build):
         assert main(["lagrangians", "--dim", "8"]) == 2
         assert "capped at 6" in capsys.readouterr().err
 

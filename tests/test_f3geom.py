@@ -1,5 +1,7 @@
 """Finite-geometry layer: subspace enumeration and Lagrangian counts over F3."""
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -30,6 +32,47 @@ def brute_subspace_count(ambient, d):
     return len(seen)
 
 
+@functools.lru_cache(maxsize=None)
+def half_subspaces(n):
+    # the enumeration depends only on the ambient dimension, so share it
+    # between the many Gram matrices checked below
+    return enumerate_subspaces(hyperbolic_space(n), n // 2)
+
+
+def brute_lagrangians(space):
+    """Reference: every half-dimensional subspace, filtered for isotropy."""
+    return [w for w in half_subspaces(space.dim) if is_totally_isotropic(space, w)]
+
+
+def random_spaces(seed, dim, count):
+    """`count` seeded random nondegenerate symmetric Gram matrices."""
+    rng = random.Random(seed)
+    spaces = []
+    while len(spaces) < count:
+        gram = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                gram[i][j] = gram[j][i] = rng.randrange(3)
+        try:
+            spaces.append(QuadSpace(dim, tuple(map(tuple, gram))))
+        except ValueError:  # degenerate: draw again
+            pass
+    return spaces
+
+
+RANDOM_SPACES = {2: random_spaces(2, 2, 12), 4: random_spaces(4, 4, 12), 6: random_spaces(6, 6, 8)}
+
+OFFDIAG_4 = ((0, 1, 1, 0), (1, 0, 2, 1), (1, 2, 1, 0), (0, 1, 0, 2))
+OFFDIAG_6 = (
+    (0, 1, 1, 0, 0, 2),
+    (1, 0, 0, 1, 1, 0),
+    (1, 0, 1, 0, 0, 1),
+    (0, 1, 0, 2, 2, 0),
+    (0, 1, 0, 2, 0, 1),
+    (2, 0, 1, 0, 1, 1),
+)
+
+
 def block_projections(space, sub):
     return [
         Subspace.span([[row[j] for j in space.block_range(i)] for row in sub.basis], space.block_dim)
@@ -43,7 +86,7 @@ def brute_coordinatewise(space):
     blocks = [QuadSpace(space.block_dim, space.block_gram(i)) for i in range(space.n_blocks)]
     return [
         w
-        for w in enumerate_subspaces(space, space.dim // 2)
+        for w in half_subspaces(space.dim)
         if all(
             p.dim == space.block_dim // 2 and is_totally_isotropic(blk, p)
             for blk, p in zip(blocks, block_projections(space, w))
@@ -148,6 +191,29 @@ def test_lagrangian_counts():
     assert len(lagrangians(QuadSpace(2, ((1, 0), (0, 1))))) == 0
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        hyperbolic_space(2),
+        hyperbolic_space(4),
+        hyperbolic_space(6),
+        QuadSpace(2, ((1, 0), (0, 1))),
+        QuadSpace(4, OFFDIAG_4),
+        QuadSpace(6, OFFDIAG_6),
+        *(space for spaces in RANDOM_SPACES.values() for space in spaces),
+    ],
+    ids=lambda space: f"dim{space.dim}-" + "".join(str(x) for row in space.gram for x in row),
+)
+def test_lagrangians_match_the_filter(space):
+    assert lagrangians(space) == brute_lagrangians(space)
+
+
+@pytest.mark.parametrize("dim", sorted(RANDOM_SPACES))
+def test_random_grams_cover_split_and_nonsplit(dim):
+    # a form with no Lagrangian exercises pruning down to an empty list
+    assert {bool(lagrangians(space)) for space in RANDOM_SPACES[dim]} == {True, False}
+
+
 def test_lagrangians_are_isotropic_half_dim():
     space = hyperbolic_space(4)
     for lag in lagrangians(space):
@@ -163,24 +229,10 @@ def test_lagrangians_are_isotropic_half_dim():
     [
         (hyperbolic_space(4, n_blocks=2), 4),
         (hyperbolic_space(6, n_blocks=3), 8),
-        (QuadSpace(4, ((0, 1, 1, 0), (1, 0, 2, 1), (1, 2, 1, 0), (0, 1, 0, 2)), 2), 4),
+        (QuadSpace(4, OFFDIAG_4, 2), 4),
         # block 0 is x^2 + y^2, which is anisotropic over F3
         (QuadSpace(4, ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 1)), 2), 0),
-        (
-            QuadSpace(
-                6,
-                (
-                    (0, 1, 1, 0, 0, 2),
-                    (1, 0, 0, 1, 1, 0),
-                    (1, 0, 1, 0, 0, 1),
-                    (0, 1, 0, 2, 2, 0),
-                    (0, 1, 0, 2, 0, 1),
-                    (2, 0, 1, 0, 1, 1),
-                ),
-                3,
-            ),
-            8,
-        ),
+        (QuadSpace(6, OFFDIAG_6, 3), 8),
     ],
     ids=["hyp-4-2", "hyp-6-3", "offdiag-4-2", "anisotropic-4-2", "offdiag-6-3"],
 )
@@ -233,6 +285,23 @@ def test_ramified_validates_marks():
         ramified_coordinatewise_lagrangians(space, [mark, Subspace.span([(1, 0, 0, 0)], 4)])
     with pytest.raises(ValueError):
         ramified_coordinatewise_lagrangians(space, [mark, Subspace.span([(1, 1)], 2)])
+
+
+@pytest.mark.parametrize(
+    "space, marks",
+    [
+        (hyperbolic_space(4, 2), [Subspace(2, ()), Subspace(2, ())]),
+        (hyperbolic_space(4), [Subspace.span([(1, 0, 0, 0)], 4)]),
+    ],
+    ids=["zero-marks", "isotropic-line-in-dim-4"],
+)
+def test_ramified_rejects_isotropic_marks_below_half_dim(space, marks):
+    # isotropic but not Lagrangian: such a mark equals no block projection,
+    # so it would filter nothing and every coordinatewise one would pass
+    assert all(is_totally_isotropic(QuadSpace(space.block_dim, space.block_gram(i)), m)
+               for i, m in enumerate(marks))
+    with pytest.raises(ValueError, match="not a Lagrangian"):
+        ramified_coordinatewise_lagrangians(space, marks)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
