@@ -147,34 +147,39 @@ _JUMPS = {
 }
 
 
+# one exact walk step is a class-1 prime: its trace-0 chance at s = 0..S_MAX, trace 0 and 1 jumps
+_STEP_UP = tuple(_cij_entry(1, 0, 3.0 ** -r_omega(s)) for s in range(S_MAX + 1))
+_RISE, _FALL = (int(j) for j in _JUMPS[1, True][:, 0])
+
+
 def ml_step(d: Distribution) -> Distribution:
     """One application of the alternating rank-walk operator."""
-    out: dict[int, float] = {}
-    lost = 0.0
-    for s, m in d.mass.items():
-        up = 3.0 ** (-r_omega(s))
-        if s + 2 <= S_MAX:
-            out[s + 2] = out.get(s + 2, 0.0) + m * up
-        else:
-            lost += m * up
-        down = m * (1.0 - up)
-        if down > 0.0:
-            if s - 2 < 0:
-                raise ConsistencyError(f"downward move from dimension {s}")
-            out[s - 2] = out.get(s - 2, 0.0) + down
-    if lost > 0.0:
-        keep = 1.0 - lost
-        out = {s: m / keep for s, m in out.items()}
-    return Distribution(out, truncation_error=d.truncation_error + lost)
+    return evolve(d, 1)
 
 
 def evolve(d: Distribution, w: int) -> Distribution:
-    """w-fold application of ml_step."""
+    """w steps of the alternating rank walk; the law is validated once, at the end."""
     if w < 0:
         raise ConfigError(f"step count must be non-negative, got {w}")
+    mass, truncation_error = d.mass, d.truncation_error
     for _ in range(w):
-        d = ml_step(d)
-    return d
+        out: dict[int, float] = {}
+        lost = 0.0
+        for s, m in mass.items():
+            up = _STEP_UP[s]
+            if s + _RISE <= S_MAX:
+                out[s + _RISE] = out.get(s + _RISE, 0.0) + m * up
+            else:
+                lost += m * up
+            down = m * (1.0 - up)
+            if down > 0.0:
+                if s + _FALL < 0:
+                    raise ConsistencyError(f"downward move from dimension {s}")
+                out[s + _FALL] = out.get(s + _FALL, 0.0) + down
+        keep = 1.0 - lost  # exactly 1.0, a no-op divisor, when nothing was lost
+        mass = {s: m / keep for s, m in out.items() if m > 0.0}
+        truncation_error += lost
+    return Distribution(mass, truncation_error=truncation_error)
 
 
 def rho(d: Distribution) -> float:
@@ -206,10 +211,8 @@ def stationary(parity: str) -> Distribution:
     )
     shift = 0 if parity == "even" else 1
     mass: dict[int, float] = {}
-    for j in range(S_MAX // 2 + 1):
+    for j in range((S_MAX - shift) // 2 + 1):
         s = 2 * j + shift
-        if s > S_MAX:
-            break
         value = lead
         for k in range(1, j + 1):
             value *= 3.0 / (3**k - 1)
@@ -228,17 +231,14 @@ def tail_bound(s: int) -> float:
     """Closed-form upper bound for the stationary mass at or above s."""
     if s < 4:
         raise ConfigError(f"tail bound needs s >= 4, got {s}")
-    if s % 2 == 0:
-        exponent = s * (s - 2) // 8
-    else:
-        exponent = (s - 1) * (s - 3) // 8
-    return tail_constant() * 3.0 ** (-exponent)
+    even = s - s % 2
+    return tail_constant() * 3.0 ** (-(even * (even - 2) // 8))
 
 
 def tail_exact(parity: str, s: int) -> float:
     """Exact stationary mass at or above s within one parity class."""
-    if s < 4:
-        raise ConfigError(f"exact tail needs s >= 4, got {s}")
+    if not 4 <= s <= S_MAX:
+        raise ConfigError(f"exact tail needs 4 <= s <= {S_MAX}, got {s}")
     law = stationary(parity)
     value = sum(m for q, m in law.mass.items() if q >= s)
     if value >= tail_bound(s):

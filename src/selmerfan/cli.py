@@ -237,11 +237,16 @@ def _parse_gram(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
-        return tuple(tuple(int(x) for x in row) for row in rows)
     except FileNotFoundError as e:
         raise DataError(f"gram file not found: {path}") from e
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"bad gram file {path}: {e}") from e
+    # JSON integers only: bool is an int subclass, and int() would read 1.5 as 1
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+    ):
+        raise DataError(f"bad gram file {path}: rows must be lists of JSON integers")
+    return tuple(map(tuple, rows))
 
 
 def _run_lagrangians(config: argparse.Namespace) -> dict:
@@ -353,6 +358,15 @@ def emit(report: Report, config: argparse.Namespace) -> None:
         print(json.dumps(report.payload, sort_keys=True, indent=2, default=_render))
 
 
+class _Positive(argparse.Action):
+    """Store a positive count; raise ConfigError (exit 2) before any run starts."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise ConfigError(f"{option_string} must be positive, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
@@ -380,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0, help="initial even mass")
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo walk over a prime stream")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True, action=_Positive)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--synthetic", help="stream spec like 40x1s+5x2s")
     p.add_argument("--curve-file")
@@ -403,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--growth", required=True, help="log | pow:alpha | affine:a,b")
     p.add_argument("--emit-cubics")
-    p.add_argument("--trials", type=int, help="also sample the fan distribution")
+    p.add_argument("--trials", type=int, action=_Positive, help="also sample the fan distribution")
     p.add_argument("--rho", type=float, default=1.0)
 
     p = sub.add_parser("lagrangians", parents=[common], help="enumerate Lagrangian subspaces")

@@ -33,6 +33,8 @@ class GrowthFn:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ConfigError(f"growth parameters must be finite, got {self.a}, {self.b}")
         if self.kind == "log":
             return
         if self.kind == "pow":
@@ -94,24 +96,23 @@ def ln_sequence(L: GrowthFn, Y: float, n: int) -> list[float]:
     L_1 = L(Y) and each later bound is the larger of L at the product of
     all earlier bounds and Y times the previous bound.
     """
-    if Y < 1:
+    if not Y >= 1:
         raise ConfigError(f"Y must be at least 1, got {Y}")
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    out = [L(Y)]
-    prod = out[0]
-    for k in range(1, n):
+    out: list[float] = []
+    prod = 1.0
+    for k in range(n):
         try:
-            nxt = max(L(prod), Y * out[-1])
+            nxt = max(L(prod), Y * out[-1]) if out else L(Y)
         except OverflowError:
-            raise RangeOverflowError(f"norm bound overflows at index {k + 1}") from None
+            nxt = math.inf
         if not math.isfinite(nxt):
             raise RangeOverflowError(f"norm bound overflows at index {k + 1}")
         out.append(nxt)
         prod *= nxt
-        if not math.isfinite(prod):
-            if k < n - 1:
-                raise RangeOverflowError(f"norm-bound product overflows at index {k + 1}")
+        if not math.isfinite(prod) and k < n - 1:
+            raise RangeOverflowError(f"norm-bound product overflows at index {k + 1}")
     return out
 
 

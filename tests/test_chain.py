@@ -280,6 +280,13 @@ class TestTails:
         with pytest.raises(ConfigError):
             tail_exact("even", 0)
 
+    def test_exact_tail_stops_at_s_max(self):
+        # past S_MAX the truncated law holds no mass and the bound underflows
+        assert 0.0 < tail_exact("even", S_MAX) < tail_bound(S_MAX)
+        for parity, s in (("odd", S_MAX + 1), ("even", 76)):
+            with pytest.raises(ConfigError):
+                tail_exact(parity, s)
+
 
 @st.composite
 def small_distributions(draw):
@@ -307,6 +314,64 @@ class TestOperatorProperties:
                 rebuilt[t] = rebuilt.get(t, 0.0) + mass * m
         for t, m in rebuilt.items():
             assert stepped.pmf(t) == pytest.approx(m, abs=1e-12)
+
+
+def ml_step_reference(d: Distribution) -> Distribution:
+    """The operator as one Distribution per step, validated every step: the oracle for evolve."""
+    out: dict[int, float] = {}
+    lost = 0.0
+    for s, m in d.mass.items():
+        up = 3.0 ** (-r_omega(s))
+        if s + 2 <= S_MAX:
+            out[s + 2] = out.get(s + 2, 0.0) + m * up
+        else:
+            lost += m * up
+        down = m * (1.0 - up)
+        if down > 0.0:
+            if s - 2 < 0:
+                raise ConsistencyError(f"downward move from dimension {s}")
+            out[s - 2] = out.get(s - 2, 0.0) + down
+    if lost > 0.0:
+        keep = 1.0 - lost
+        out = {s: m / keep for s, m in out.items()}
+    return Distribution(out, truncation_error=d.truncation_error + lost)
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize(
+        "initial",
+        [RhoE(1.0).initial_distribution(), RhoE(0.0).initial_distribution(),
+         RhoE(0.3).initial_distribution(), stationary("even"), stationary("odd"),
+         Distribution({S_MAX - 1: 0.5, S_MAX: 0.5}), Distribution({2: 5e-324, 10: 1.0})],
+        ids=["rho-1", "rho-0", "rho-0.3", "stationary-even", "stationary-odd", "top", "underflow"],
+    )
+    def test_evolve_matches_per_step_oracle(self, initial):
+        # exact equality, key order included; only the top law loses enough
+        # mass past S_MAX for the renormalisation to move a bit, and only in the
+        # underflow law does an upward move round to a zero mass, whose key
+        # would reorder the next step's law unless it is dropped at once
+        oracle, steps = initial, 0
+        for w in (0, 1, 2, 7, 59, 60, 1000, 20000):
+            while steps < w:
+                oracle, steps = ml_step_reference(oracle), steps + 1
+            got = evolve(initial, w)
+            assert list(got.mass.items()) == list(oracle.mass.items()), w
+            assert got.truncation_error == oracle.truncation_error, w
+        one = ml_step(initial)
+        assert list(one.mass.items()) == list(ml_step_reference(initial).mass.items())
+
+    def test_evolve_validates_one_law_per_call(self, monkeypatch):
+        initial = stationary("even")
+        built = []
+        validate = Distribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Distribution, "__post_init__", counting)
+        evolve(initial, 100)
+        assert len(built) == 1
 
 
 @dataclass(frozen=True)

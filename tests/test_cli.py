@@ -111,6 +111,39 @@ class TestExitCodes:
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
         assert not os.path.exists(cubics)
 
+    def test_non_positive_trials_is_2_before_any_work(
+        self, tmp_path, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        cubics = str(tmp_path / "cubics.csv")
+        curve = ["--curve-file", curve_file, "--label", "fix", "--seed", "1"]
+        for argv in (
+            ["simulate", *curve, "--max-prime", "20000", "--trials", "0"],
+            ["fan", *curve, "--m", "2", "--w", "2", "--X", "40", "--growth", "pow:1",
+             "--emit-cubics", cubics, "--trials", "-3"],
+        ):
+            assert main(argv) == 2, argv
+            assert "--trials must be positive" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+        assert not os.path.exists(cubics)
+
+    @pytest.mark.parametrize(
+        "bound", [["--X", "inf", "--growth", "pow:1"], ["--X", "nan", "--growth", "pow:1"],
+                  ["--X", "40", "--growth", "pow:nan"]],
+        ids=["X-inf", "X-nan", "pow-nan"],
+    )
+    def test_non_finite_fan_bound_is_2_before_any_work(
+        self, bound, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        rc = main(["fan", "--curve-file", curve_file, "--label", "fix", "--m", "1", "--w", "1",
+                   *bound])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    @pytest.mark.parametrize("s, code", [(64, 0), (65, 2), (76, 2)])
+    def test_tailbound_past_s_max_is_2(self, s, code, capsys):
+        assert main(["tailbound", "--s", str(s)]) == code
+
     def test_densities_below_100_is_2_before_any_work(
         self, capsys, curve_file, cache_dir, no_point_counts
     ):
@@ -394,6 +427,24 @@ class TestFanCommand:
         assert "empty fan" in capsys.readouterr().err
 
 
+class TestEvolveCommand:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--w", "20000"], "7adf2fced324d695b1ed91d67b0aa53c18487b55cc079a1ec55dd575825815da"),
+            (["--w", "20001", "--rho", "0.3"],
+             "06ae50d48d106596e9a9c3562ee336e269caa732d871bbdc667f8db21fceb559"),
+        ],
+        ids=["w-20000", "w-20001-rho-0.3"],
+    )
+    def test_payload_is_pinned(self, argv, digest, tmp_path, capsys):
+        # recorded while every step built and validated its own Distribution
+        out = str(tmp_path / "evolve.json")
+        assert main(["evolve", *argv, "--out", out]) == 0
+        payload = json.load(open(out))["payload"]
+        assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
 class TestLagrangianCommand:
     def test_counts(self, capsys):
         assert main(["lagrangians", "--dim", "4", "--blocks", "2"]) == 0
@@ -443,8 +494,10 @@ class TestLagrangianCommand:
 
     def test_bad_gram_file_is_3(self, tmp_path, capsys):
         gram = tmp_path / "gram.json"
-        gram.write_text("not json")
-        assert main(["lagrangians", "--dim", "2", "--gram", str(gram)]) == 3
+        # int() would read each of the last three as the hyperbolic plane
+        for text in ("not json", "[[0, 1.5], [1.5, 0]]", "[[0, true], [true, 0]]", '["01", "10"]'):
+            gram.write_text(text)
+            assert main(["lagrangians", "--dim", "2", "--gram", str(gram)]) == 3, text
 
 
 class TestClosedStdout:

@@ -54,6 +54,13 @@ class TestGrowthFn:
             with pytest.raises(ConfigError):
                 parse_growth(bad)
 
+    def test_non_finite_parameters_rejected(self):
+        for a, b in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ConfigError):
+                GrowthFn("affine", a, b)
+        with pytest.raises(ConfigError):
+            parse_growth("pow:nan")
+
     def test_identity_is_pow_one(self):
         g = parse_growth("pow:1")
         assert g(13.0) == 13.0
@@ -81,9 +88,17 @@ class TestLnSequence:
         with pytest.raises(RangeOverflowError, match="index"):
             ln_sequence(parse_growth("pow:3"), 1e80, 5)
 
+    def test_first_bound_is_checked(self):
+        with pytest.raises(RangeOverflowError, match="index 1"):
+            ln_sequence(parse_growth("pow:1"), math.inf, 1)
+        with pytest.raises(RangeOverflowError, match="index 1"):
+            ln_sequence(parse_growth("pow:2"), 1e300, 1)
+
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             ln_sequence(parse_growth("log"), 0.5, 2)
+        with pytest.raises(ConfigError):
+            ln_sequence(parse_growth("pow:1"), math.nan, 1)
         with pytest.raises(ConfigError):
             ln_sequence(parse_growth("log"), 10.0, 0)
 
