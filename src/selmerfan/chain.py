@@ -267,25 +267,17 @@ def _draw_initial(initial: Distribution, u: np.ndarray) -> np.ndarray:
     return support[np.searchsorted(cum, u, side="right")]
 
 
-def _uniform_matrix(seed: int, trials: int, width: int) -> np.ndarray:
-    rows = np.empty((trials, width))
-    for trial in range(trials):
+def _uniform_matrix(seed: int, trials: range, width: int) -> np.ndarray:
+    """The uniforms of the given trials, one row each from that trial's own substream."""
+    rows = np.empty((len(trials), width))
+    for row, trial in zip(rows, trials):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        rows[trial] = np.random.Generator(np.random.Philox(ss)).random(width)
+        np.random.Generator(np.random.Philox(ss)).random(out=row)
     return rows
 
 
-def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
-    """Monte Carlo replay of a prime stream, one substream per trial.
-
-    Every stream element consumes exactly two uniforms per trial (class
-    draw, lift draw) whether or not it moves the walk, so trajectories are
-    reproducible functions of (seed, trial) alone.
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    elements = [_stream_element(e) for e in prime_stream]
-    u = _uniform_matrix(seed, trials, 1 + 2 * len(elements))
+def _walk(initial: Distribution, elements: list[tuple[int, bool]], u: np.ndarray) -> np.ndarray:
+    """Final dimensions of the trials whose uniforms are the rows of u."""
     s = _draw_initial(initial, u[:, 0])
     for idx, (i, is_split) in enumerate(elements):
         if i == 0:
@@ -303,10 +295,41 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
         s = s + delta
         if np.any(s < 0):
             raise ConsistencyError("walk reached a negative dimension")
-    kept = s <= S_MAX
-    n_kept = int(kept.sum())
+    return s
+
+
+# (floor, uniforms): a chunk of max(floor, uniforms // width) trials walks at once;
+# 2^22 uniforms are 32 MiB, and the floor keeps a long stream's per-element loop
+# from running over only a few trials
+_CHUNK = (1024, 2**22)
+
+
+def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
+    """Monte Carlo replay of a prime stream, one substream per trial.
+
+    Every stream element consumes exactly two uniforms per trial (class
+    draw, lift draw) whether or not it moves the walk, so trajectories are
+    reproducible functions of (seed, trial) alone. The trials walk in
+    chunks and only their final dimensions are counted, so peak memory is
+    one chunk's uniforms, whatever the number of trials: at most 2^22
+    doubles (32 MiB), or 1024 rows once the stream passes 2047 elements.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    elements = [_stream_element(e) for e in prime_stream]
+    width = 1 + 2 * len(elements)
+    floor, uniforms = _CHUNK
+    rows = max(floor, uniforms // width)
+    counts = np.zeros(S_MAX + 1, dtype=np.int64)
+    n_kept = 0
+    for start in range(0, trials, rows):
+        chunk = range(start, min(start + rows, trials))
+        # no name holds the uniforms, so they are freed before the next chunk's are drawn
+        s = _walk(initial, elements, _uniform_matrix(seed, chunk, width))
+        kept = s[s <= S_MAX]
+        counts += np.bincount(kept, minlength=S_MAX + 1)
+        n_kept += len(kept)
     if n_kept == 0:
         raise ConsistencyError("every trial overflowed the support bound")
-    values, counts = np.unique(s[kept], return_counts=True)
-    mass = {int(v): c / n_kept for v, c in zip(values, counts)}
+    mass = {v: int(c) / n_kept for v, c in enumerate(counts) if c}
     return Distribution(mass, truncation_error=(trials - n_kept) / trials)

@@ -34,7 +34,14 @@ from .chain import (
     tail_constant,
     tail_exact,
 )
-from .curves import CurveQ, check_density_bound, density_report, frobenius_class
+from .curves import (
+    MAX_PRIME,
+    MAX_STREAM,
+    CurveQ,
+    check_density_bound,
+    density_report,
+    frobenius_class,
+)
 from .errors import ConfigError, ConsistencyError, DataError
 from .f3geom import QuadSpace, Subspace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
 from .fans import FanElement, enumerate_fan, fan_distribution, lift_count, ln_sequence, parse_growth
@@ -128,8 +135,13 @@ def parse_synthetic(spec: str) -> list[tuple[int, str]]:
             raise ConfigError(
                 f"bad synthetic token {token!r}; expected COUNTxCLASS[s|i] like 40x1s"
             )
-        count, cls, kind = int(m.group(1)), int(m.group(2)), m.group(3)
-        stream.extend([(cls, "split" if kind == "s" else "inert")] * count)
+        digits, cls, kind = m.group(1).lstrip("0") or "0", int(m.group(2)), m.group(3)
+        # lengths first: int() refuses a string of more than 4300 digits
+        if len(digits) > len(str(MAX_STREAM)) or len(stream) + int(digits) > MAX_STREAM:
+            raise ConfigError(
+                f"synthetic stream exceeds {MAX_STREAM} primes, the most up to {MAX_PRIME}"
+            )
+        stream.extend([(cls, "split" if kind == "s" else "inert")] * int(digits))
     if not stream:
         raise ConfigError("synthetic stream is empty")
     return stream

@@ -41,6 +41,15 @@ class TestParseSynthetic:
             with pytest.raises(ConfigError):
                 parse_synthetic(bad)
 
+    def test_longest_curve_stream_is_accepted(self):
+        assert len(parse_synthetic("78000x1s+498x0i")) == 78_498
+
+    def test_longer_than_any_curve_stream_is_refused(self):
+        # too long in total, in one token, and in more digits than int() will parse
+        for spec in ["78000x1s+499x0i", "1000000000x1s", "9" * 5000 + "x1s"]:
+            with pytest.raises(ConfigError, match="78498"):
+                parse_synthetic(spec)
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -52,6 +61,10 @@ class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert main(["simulate", "--trials", "0", "--seed", "1", "--synthetic", "3x1s"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_oversized_synthetic_stream_is_2(self, capsys):
+        assert main(["simulate", "--trials", "1", "--seed", "1", "--synthetic", "78499x1s"]) == 2
+        assert "exceeds 78498 primes" in capsys.readouterr().err
 
     def test_missing_seed_is_2(self, capsys):
         assert main(["simulate", "--trials", "10", "--synthetic", "3x1s"]) == 2
@@ -288,6 +301,14 @@ class TestReportDeterminism:
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "2523dd1fd0c67d1c8b4b0662b95b40093950f14332f9d7ba51fa702e86368951"
+
+    # width 4401 walks 3000 trials as three chunks; recorded from the one-matrix walk
+    def test_multi_chunk_simulate_stdout_is_pinned(self, capsys):
+        argv = ["simulate", "--trials", "3000", "--seed", "5",
+                "--synthetic", "2100x1s+40x2s+30x0i+30x1i"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "0aad1d6ca15c9bf1598106e1a85cc2e3187f9336960f44e1c5935fa50e7ae6c7"
 
     def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
         fifo = str(tmp_path / "report.fifo")
