@@ -298,10 +298,8 @@ def _walk(initial: Distribution, elements: list[tuple[int, bool]], u: np.ndarray
     return s
 
 
-# (floor, uniforms): a chunk of max(floor, uniforms // width) trials walks at once;
-# 2^22 uniforms are 32 MiB, and the floor keeps a long stream's per-element loop
-# from running over only a few trials
-_CHUNK = (1024, 2**22)
+# uniforms per chunk (32 MiB): max(1, _CHUNK // width) trials walk at once
+_CHUNK = 2**22
 
 
 def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
@@ -312,14 +310,13 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     reproducible functions of (seed, trial) alone. The trials walk in
     chunks and only their final dimensions are counted, so peak memory is
     one chunk's uniforms, whatever the number of trials: at most 2^22
-    doubles (32 MiB), or 1024 rows once the stream passes 2047 elements.
+    doubles (32 MiB), or one trial's row if that is longer.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     elements = [_stream_element(e) for e in prime_stream]
     width = 1 + 2 * len(elements)
-    floor, uniforms = _CHUNK
-    rows = max(floor, uniforms // width)
+    rows = max(1, _CHUNK // width)
     counts = np.zeros(S_MAX + 1, dtype=np.int64)
     n_kept = 0
     for start in range(0, trials, rows):

@@ -29,8 +29,6 @@ from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim_density
 MAX_PRIME = 10**6
 # pi(MAX_PRIME): no curve's prime stream is longer
 MAX_STREAM = 78_498
-# the least strong pseudoprime to both bases 2 and 3 (Pomerance, Selfridge, Wagstaff 1980)
-MILLER_RABIN_BOUND = 1_373_653
 # above this, E or its quadratic twist has a point whose order has exactly one
 # multiple in the Hasse interval (Mestre's theorem, with Schoof's bound)
 MESTRE_BOUND = 229
@@ -71,26 +69,17 @@ class PrimeClassRecord:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to bases 2 and 3, which is exact below MILLER_RABIN_BOUND."""
-    if n >= MILLER_RABIN_BOUND:
-        raise ConfigError(f"n = {n} is past the exact primality bound {MILLER_RABIN_BOUND}")
+    if n < 2:
+        return False
     if n < 4:
-        return n >= 2
+        return True
     if n % 2 == 0:
         return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 3):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
             return False
+        d += 2
     return True
 
 

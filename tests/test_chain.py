@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from selmerfan import chain
 from selmerfan.chain import (
-    _JUMPS,
     S_MAX,
     Distribution,
     RhoE,
-    _cij_entry,
     _draw_initial,
     _stream_element,
     _uniform_matrix,
@@ -432,28 +430,11 @@ def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed
 
 
 def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
-    """simulate_chain on one trials x width uniform matrix: the oracle for the chunked walk."""
+    """chain._walk over one whole uniform matrix, counted at once: the oracle for the chunking."""
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     elements = [_stream_element(e) for e in prime_stream]
-    u = _uniform_matrix(seed, range(trials), 1 + 2 * len(elements))
-    s = _draw_initial(initial, u[:, 0])
-    for idx, (i, is_split) in enumerate(elements):
-        if i == 0:
-            continue
-        jumps = _JUMPS[i, is_split]
-        ut = u[:, 1 + 2 * idx]
-        x = np.power(3.0, -(s >> 1).astype(np.float64))
-        t0 = ut < _cij_entry(i, 0, x)
-        if i == 1:
-            delta = np.where(t0, jumps[0, 0], jumps[1, 0])
-        else:
-            w = jumps.shape[1]
-            row = np.where(t0, 0, np.where(ut >= 1.0 - _cij_entry(2, 2, x), 2 * w, w))
-            delta = jumps.take(row + (u[:, 2 + 2 * idx] * w).astype(np.int64))
-        s = s + delta
-        if np.any(s < 0):
-            raise ConsistencyError("walk reached a negative dimension")
+    s = chain._walk(initial, elements, _uniform_matrix(seed, range(trials), 1 + 2 * len(elements)))
     kept = s <= S_MAX
     n_kept = int(kept.sum())
     if n_kept == 0:
@@ -472,14 +453,14 @@ class TestChunkedSimulation:
         # 1000 trials leave a short last chunk at each size
         expected = simulate_chain_unchunked(self.INITIAL, self.STREAM, 1000, seed=13)
         scalar = simulate_chain_scalar(self.INITIAL, self.STREAM, 1000, seed=13)
-        monkeypatch.setattr(chain, "_CHUNK", (rows, 0))
+        monkeypatch.setattr(chain, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
         got = simulate_chain(self.INITIAL, self.STREAM, 1000, seed=13)
         assert list(got.mass.items()) == list(expected.mass.items())
         assert got.mass == scalar.mass
         assert got.truncation_error == expected.truncation_error == scalar.truncation_error
 
     def test_default_chunks_match_the_oracle(self):
-        # width 4401 gives 1024-row chunks, so 2500 trials walk as three
+        # width 4401 gives 953-row chunks, so 2500 trials walk as three
         stream = [(1, "split")] * 2100 + [(2, "split")] * 100
         expected = simulate_chain_unchunked(delta0(), stream, 2500, seed=4)
         got = simulate_chain(delta0(), stream, 2500, seed=4)
@@ -488,7 +469,7 @@ class TestChunkedSimulation:
 
     def test_negative_dimension_still_raises_per_chunk(self, monkeypatch):
         monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[-2], [-2]]))
-        monkeypatch.setattr(chain, "_CHUNK", (7, 0))
+        monkeypatch.setattr(chain, "_CHUNK", 7 * 3)
         with pytest.raises(ConsistencyError):
             simulate_chain(delta0(), [(1, "split")], 20, seed=1)
 

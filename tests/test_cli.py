@@ -302,7 +302,7 @@ class TestReportDeterminism:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "2523dd1fd0c67d1c8b4b0662b95b40093950f14332f9d7ba51fa702e86368951"
 
-    # width 4401 walks 3000 trials as three chunks; recorded from the one-matrix walk
+    # width 4401 walks 3000 trials in four chunks of up to 953 rows; recorded from the one-matrix walk
     def test_multi_chunk_simulate_stdout_is_pinned(self, capsys):
         argv = ["simulate", "--trials", "3000", "--seed", "5",
                 "--synthetic", "2100x1s+40x2s+30x0i+30x1i"]

