@@ -44,7 +44,15 @@ from .curves import (
 )
 from .errors import ConfigError, ConsistencyError, DataError
 from .f3geom import QuadSpace, Subspace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
-from .fans import FanElement, enumerate_fan, fan_distribution, lift_count, ln_sequence, parse_growth
+from .fans import (
+    FanElement,
+    FanIndex,
+    enumerate_fan,
+    fan_distribution,
+    lift_count,
+    ln_sequence,
+    parse_growth,
+)
 from .gl2f3 import (
     ConjClass,
     conjugacy_classes,
@@ -222,7 +230,7 @@ def _run_fan(config: argparse.Namespace) -> dict:
     growth = parse_growth(config.growth)
     bounds = ln_sequence(growth, config.X, config.m)
     _, records, _ = _curve_cache(config, curve, math.ceil(bounds[-1]) - 1)
-    elements = enumerate_fan(curve, bounds, config.w, records)
+    index = FanIndex(curve, bounds, config.w, records)
     payload = {
         "label": curve.label,
         "m": config.m,
@@ -230,16 +238,18 @@ def _run_fan(config: argparse.Namespace) -> dict:
         "X": config.X,
         "growth": growth.spec_string(),
         "bounds": bounds,
-        "count": len(elements),
-        "elements": elements,
+        "count": index.count,
     }
+    # list the fan only when the output shows it: a report, the cubics, or the bare fan
+    if config.out or config.emit_cubics or config.trials is None:
+        payload["elements"] = elements = enumerate_fan(curve, bounds, config.w, records)
     if config.emit_cubics:
         csv = "d,polynomial\n" + "".join(f"{e.d_value},{e.cubic_poly}\n" for e in elements)
         _atomic_write(config.emit_cubics, csv)
         payload["cubics_file"] = config.emit_cubics
     if config.trials is not None:
         initial = RhoE(config.rho).initial_distribution()
-        emp = fan_distribution(elements, bounds, records, initial, config.trials, config.seed)
+        emp = fan_distribution(index, records, initial, config.trials, config.seed)
         payload.update(_distribution_payload(emp))
         payload["tv_to_evolve"] = emp.tv_distance(evolve(initial, config.w))
     return payload

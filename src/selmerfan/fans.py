@@ -6,12 +6,15 @@ from a nondecreasing growth function, filtered to a fixed total weight
 w = sum of the local dimensions. Each tuple yields a pure-cubic
 representative x^3 - prod(q_j) and 6^m character lifts; replaying the
 tuple's classified primes through the rank walk gives the fan's empirical
-Selmer-dimension law.
+Selmer-dimension law. A FanIndex counts the fan without listing it and
+gives its k-th element, so the law is sampled by count; `enumerate_fan`
+lists the fan only for output that shows its elements.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +23,10 @@ from .chain import Distribution, simulate_chain
 from .curves import CurveQ, PrimeClassRecord, good_primes
 from .errors import ConfigError, DataError
 
-# the most elements enumerate_fan lists; 10^6 five-prime elements peak near 210 MB
+# the most elements a fan may have; listing 10^6 five-prime elements peaks near 210 MB
 MAX_FAN_ELEMENTS = 10**6
+# the most int64 counts a FanIndex holds (128 MiB); only fans far past the cap need more
+MAX_INDEX_COUNTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -145,61 +150,117 @@ def lift_count(elem: FanElement) -> int:
     return 6**elem.m
 
 
-def _support(bounds: list[float], records: dict[int, PrimeClassRecord]) -> list[int]:
-    """Support primes below the last bound, ascending: the primes a fan draws from."""
-    return [p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support]
+class FanIndex:
+    """A weight-w fan under the bounds L_1..L_m of ln_sequence, held by count.
+
+    It gives the fan's `count`, its k-th element in sorted order,
+    membership, and the sorted list on request. The records must cover
+    every good prime below the last bound; a gap in them is an error, not a
+    silent shrink.
+
+    A sorted tuple of support primes is admissible when q_j < L_j position
+    by position and its local dimensions sum to w; the bounds are
+    nondecreasing, so this is exactly the existence of an assignment of
+    primes to positions. The build below is the one place admissibility is
+    decided: `counts[pos, r, i]` counts the ways to fill positions pos..m-1
+    from support indices i on with weight r left, so index j is a live
+    choice at (pos, r) when the count drops from j to j + 1. Counts
+    saturate at MAX_FAN_ELEMENTS + 1, and a fan past the cap is refused from
+    its count, before anything is listed or drawn; every state on a real
+    prefix counts at most the whole fan, so the states that listing,
+    unranking and membership read are exact.
+    """
+
+    def __init__(
+        self, curve: CurveQ, bounds: list[float], w: int, records: dict[int, PrimeClassRecord]
+    ):
+        self.bounds, self.m, self.w = bounds, len(bounds), w
+        if self.m < 1:
+            raise ConfigError(f"fan needs m >= 1, got {self.m}")
+        if w < 0 or w > self.m:
+            raise ConfigError(f"weight must lie in 0..{self.m}, got {w}")
+        missing = [p for p in good_primes(curve, math.ceil(bounds[-1]) - 1) if p not in records]
+        if missing:
+            raise DataError(
+                f"classification cache is missing {len(missing)} primes in "
+                f"[{missing[0]}, {missing[-1]}]; classify up to {math.ceil(bounds[-1])} first"
+            )
+        # the support primes below the last bound, ascending: the primes a fan draws from
+        self.support = [p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support]
+        self.dims = [records[q].dim_fp for q in self.support]
+        n = len(self.support)
+        size = (self.m + 1) * (w + 1) * (n + 1)
+        if size > MAX_INDEX_COUNTS:
+            raise ConfigError(
+                f"fan index needs {size} counts, past MAX_INDEX_COUNTS = {MAX_INDEX_COUNTS}"
+            )
+        q = np.array(self.support)
+        # the weight left after picking each prime, from each weight r
+        left = np.arange(w + 1)[:, None] - np.array(self.dims, dtype=np.int64)
+        picked = (np.maximum(left, 0), np.arange(1, n + 1))
+        counts = np.zeros((self.m + 1, w + 1, n + 1), dtype=np.int64)
+        counts[self.m, 0] = 1
+        for pos in range(self.m - 1, -1, -1):
+            fits = (q < bounds[pos]) & (left >= 0)
+            ways = np.where(fits, counts[pos + 1][picked], 0)
+            suffix = ways[:, ::-1].cumsum(axis=1)[:, ::-1]
+            counts[pos, :, :n] = np.minimum(suffix, MAX_FAN_ELEMENTS + 1)
+        self.counts = counts
+        self.count = int(counts[0, w, 0])
+        if self.count > MAX_FAN_ELEMENTS:
+            raise ConfigError(f"fan passes the cap MAX_FAN_ELEMENTS = {MAX_FAN_ELEMENTS}")
+
+    def element(self, picked: list[int]) -> FanElement:
+        return FanElement(tuple(self.support[j] for j in picked), self.w)
+
+    def admits(self, picked: list[int]) -> bool:
+        """Whether ascending support indices, one per position, form a fan element."""
+        r = self.w
+        for pos, j in enumerate(picked):
+            row = self.counts[pos, r]
+            if row[j] == row[j + 1]:
+                return False
+            r -= self.dims[j]
+        return True
+
+    def unrank(self, k: int) -> FanElement:
+        """The k-th element in sorted order, by bisection down the count rows."""
+        if not 0 <= k < self.count:
+            raise IndexError(f"rank {k} is outside the fan of {self.count} elements")
+        picked, i, r = [], 0, self.w
+        for pos in range(self.m):
+            row = self.counts[pos, r]
+            # the last j >= i with at least row[i] - k elements from j on
+            j = bisect.bisect_right(row, k - row[i], lo=i, key=operator.neg) - 1
+            k -= int(row[i] - row[j])
+            picked.append(j)
+            i, r = j + 1, r - self.dims[j]
+        return self.element(picked)
+
+    def elements(self) -> list[FanElement]:
+        """Every element, sorted: a walk down the live choices only."""
+        out: list[FanElement] = []
+        self._extend(0, 0, self.w, [], out)
+        return out
+
+    def _extend(self, pos: int, i: int, r: int, picked: list[int], out: list[FanElement]) -> None:
+        # a row is 0 past the last prime under L_pos; read it that far once, as ints
+        row = self.counts[pos, r, i : np.count_nonzero(self.counts[pos, r]) + 1].tolist()
+        for j, (here, after) in enumerate(zip(row, row[1:]), i):
+            if here > after:
+                picked.append(self.support[j])
+                if pos + 1 == self.m:
+                    out.append(FanElement(tuple(picked), self.w))
+                else:
+                    self._extend(pos + 1, j + 1, r - self.dims[j], picked, out)
+                picked.pop()
 
 
 def enumerate_fan(
     curve: CurveQ, bounds: list[float], w: int, records: dict[int, PrimeClassRecord]
 ) -> list[FanElement]:
-    """All weight-w support m-tuples under the bounds L_1..L_m of ln_sequence, sorted.
-
-    A sorted tuple is admissible when q_j < L_j position by position; the
-    bounds are nondecreasing, so this is exactly the existence of an
-    assignment of primes to positions. The records must cover every good
-    prime below the last bound; a gap in them is an error, not a silent
-    shrink. A fan of more than MAX_FAN_ELEMENTS elements is refused as soon
-    as the list would pass the cap.
-    """
-    m = len(bounds)
-    if m < 1:
-        raise ConfigError(f"fan needs m >= 1, got {m}")
-    if w < 0 or w > m:
-        raise ConfigError(f"weight must lie in 0..{m}, got {w}")
-    missing = [p for p in good_primes(curve, math.ceil(bounds[-1]) - 1) if p not in records]
-    if missing:
-        raise DataError(
-            f"classification cache is missing {len(missing)} primes in "
-            f"[{missing[0]}, {missing[-1]}]; classify up to {math.ceil(bounds[-1])} first"
-        )
-    support = _support(bounds, records)
-    out: list[FanElement] = []
-
-    def extend(start: int, pos: int, picked: list[int], weight: int) -> None:
-        if pos == m:
-            if weight == w:
-                if len(out) == MAX_FAN_ELEMENTS:
-                    raise ConfigError(f"fan passes the cap MAX_FAN_ELEMENTS = {MAX_FAN_ELEMENTS}")
-                out.append(FanElement(tuple(picked), w))
-            return
-        for idx in range(start, len(support)):
-            q = support[idx]
-            if q >= bounds[pos]:
-                break
-            dq = records[q].dim_fp
-            if weight + dq > w or weight + dq + (m - pos - 1) < w:
-                continue
-            picked.append(q)
-            extend(idx + 1, pos + 1, picked, weight + dq)
-            picked.pop()
-
-    try:
-        extend(0, 0, [], 0)
-    finally:
-        # the closure refers to itself; dropping it lets refcounting free the fan
-        del extend
-    return out
+    """All weight-w support m-tuples under the bounds, sorted: the FanIndex's elements."""
+    return FanIndex(curve, bounds, w, records).elements()
 
 
 def _substream_seed(seed: int, tag: int, idx: int = 0) -> int:
@@ -207,28 +268,22 @@ def _substream_seed(seed: int, tag: int, idx: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sample_elements(
-    elements: list[FanElement], support: list[int], count: int, seed: int
-) -> list[FanElement]:
+def _sample_elements(index: FanIndex, count: int, seed: int) -> list[FanElement]:
     """Uniform fan elements by rejection from sorted support m-subsets.
 
     Proposals are uniform over all strictly increasing m-tuples of the
-    support primes; a proposal is accepted when it is a fan element, found
-    by bisection in the sorted (non-empty) list, so accepted draws are
-    uniform over the fan.
+    support primes; a proposal is accepted when the index admits it, so
+    accepted draws are uniform over the (non-empty) fan.
     """
-    m = elements[0].m
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 1)))
     )
     out: list[FanElement] = []
     limit = 10_000 * max(1, count)
     for _ in range(limit):
-        picked = sorted(gen.choice(len(support), size=m, replace=False))
-        qs = tuple(support[i] for i in picked)
-        k = bisect.bisect_left(elements, qs, key=lambda e: e.primes)
-        if k < len(elements) and elements[k].primes == qs:
-            out.append(elements[k])
+        picked = sorted(gen.choice(len(index.support), size=index.m, replace=False))
+        if index.admits(picked):
+            out.append(index.element(picked))
             if len(out) == count:
                 return out
     raise DataError(
@@ -238,8 +293,7 @@ def _sample_elements(
 
 
 def fan_distribution(
-    elements: list[FanElement],
-    bounds: list[float],
+    index: FanIndex,
     records: dict[int, PrimeClassRecord],
     initial: Distribution,
     trials: int,
@@ -247,31 +301,32 @@ def fan_distribution(
 ) -> Distribution:
     """Empirical final-dimension law over a fan, lifts sampled per prime.
 
-    Takes the fan as enumerate_fan listed it under the positional bounds,
-    with the records it was enumerated from; m is the number of bounds.
+    Takes the fan's counting index, with the records it was built from.
     Every walk starts from the initial law. Small fans (m up to 3) spread
-    the trials across all elements as evenly as possible; larger fans draw
-    a uniform batch of elements by rejection.
+    the trials as evenly as possible across all elements, or across
+    `trials` ranks drawn without replacement and unranked; larger fans draw
+    a uniform batch of elements by rejection. No element list is built.
     Each element's primes replay through the rank walk on an
     element-specific substream. An empty fan raises before any draw: a
     DataError for m >= 4 over at least m support primes, else a ConfigError.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
-    m = len(bounds)
-    support = _support(bounds, records)
-    if not elements:
-        raise (ConfigError if m <= 3 or len(support) < m else DataError)(
-            f"empty fan: no admissible tuples of {m} primes below {bounds[-1]:g}"
+    m = index.m
+    if index.count == 0:
+        raise (ConfigError if m <= 3 or len(index.support) < m else DataError)(
+            f"empty fan: no admissible tuples of {m} primes below {index.bounds[-1]:g}"
         )
     if m > 3:
-        elements = _sample_elements(elements, support, min(trials, 256), seed)
-    elif len(elements) > trials:
-        gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
-        )
-        keep = sorted(gen.choice(len(elements), size=trials, replace=False))
-        elements = [elements[i] for i in keep]
+        elements = _sample_elements(index, min(trials, 256), seed)
+    else:
+        ranks = range(index.count)
+        if index.count > trials:
+            gen = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
+            )
+            ranks = sorted(gen.choice(index.count, size=trials, replace=False))
+        elements = [index.unrank(int(k)) for k in ranks]
     base, extra = divmod(trials, len(elements))
     allocation = [base + (1 if i < extra else 0) for i in range(len(elements))]
     merged: dict[int, float] = {}

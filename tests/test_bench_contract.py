@@ -61,6 +61,9 @@ def test_cli_calls_fire_every_counter(tracing, tmp_path, monkeypatch, capsys):
         ["classify", *curve, "--max-prime", "300"],
         ["fan", *curve, "--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1",
          "--trials", "20", "--seed", "1"],
+        # `fan --trials` draws by count and lists nothing; listing the fan
+        # keeps the enumerate_fan counter hook bound and run
+        ["fan", *curve, "--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1"],
         ["lagrangians", "--dim", "4", "--blocks", "2"],
         ["gl2f3-report"],
     ]

@@ -395,6 +395,36 @@ class TestFanCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("s,mass\n")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "2", "--w", "2", "--X", "40", "--growth", "pow:1", "--trials", "300"],
+         ["--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1", "--trials", "300"],
+         ["--m", "4", "--w", "2", "--X", "1", "--growth", "affine:0,30", "--trials", "40"]],
+        ids=["draws-ranks", "every-rank", "rejection"],
+    )
+    def test_law_alone_never_lists_the_fan(
+        self, flags, capsys, curve_file, cache_dir, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("fan listed")
+
+        monkeypatch.setattr("selmerfan.cli.enumerate_fan", refuse)
+        argv = ["fan", "--curve-file", curve_file, "--label", "fix", *flags, "--seed", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("s,mass\n")
+        payload = run(parse_args(argv)).payload
+        assert payload["count"] > 0 and "elements" not in payload
+
+    def test_law_alone_is_capped_by_count(self, capsys, curve_file, cache_dir, monkeypatch):
+        argv = self.fan_argv(curve_file, "--w", "2", "--X", "40", "--growth", "pow:1",
+                             "--trials", "300", "--seed", "1")
+        count = run(parse_args(argv)).payload["count"]
+        monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count - 1)
+        assert main(argv) == 2
+        assert f"MAX_FAN_ELEMENTS = {count - 1}" in capsys.readouterr().err
+        monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
+        assert main(argv) == 0
+
     # recorded from element rows built field by field, so these pin the JSON
     # form `_render` gives a fan element
     def test_element_rows_are_pinned(self, capsys, curve_file, cache_dir):

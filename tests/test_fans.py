@@ -1,5 +1,6 @@
 """Fan enumeration against a naive reference, growth laws, sampling."""
 import gc
+import itertools
 import math
 import weakref
 
@@ -14,6 +15,7 @@ from selmerfan.fans import (
     RangeOverflowError,
     enumerate_fan,
     fan_distribution,
+    FanIndex,
     lift_count,
     ln_sequence,
     parse_growth,
@@ -217,11 +219,76 @@ class TestEnumerateFan:
             enumerate_fan(FIX, bounds, 2, recs)
 
 
+# every fan TestEnumerateFan lists, as (growth, X, m, record bound), plus an
+# m = 4 fan under a constant bound; each is checked at every weight 0..m
+INDEXED_FANS = [
+    ("pow:1", 30.0, 1, 100),
+    ("pow:1", 14.0, 2, 196),
+    ("pow:1", 30.0, 2, 900),
+    ("pow:1", 40.0, 2, 1600),
+    ("affine:0,30", 1.0, 4, 30),
+]
+
+
+class TestFanIndex:
+    @pytest.mark.parametrize("spec, X, m, bound", INDEXED_FANS)
+    def test_count_and_unrank_match_the_list(self, spec, X, m, bound):
+        recs = records_upto(bound)
+        bounds = ln_sequence(parse_growth(spec), X, m)
+        for w in range(m + 1):
+            index = FanIndex(FIX, bounds, w, recs)
+            elements = enumerate_fan(FIX, bounds, w, recs)
+            assert index.count == len(elements), w
+            assert [index.unrank(k) for k in range(index.count)] == elements, w
+
+    @pytest.mark.parametrize("spec, X, m, bound", INDEXED_FANS)
+    def test_admits_exactly_the_naive_fan(self, spec, X, m, bound):
+        # the bounds cut at 40 keep the support small enough to try every m-subset
+        recs = {p: r for p, r in records_upto(bound).items() if p < 40}
+        bounds = [min(b, 40.0) for b in ln_sequence(parse_growth(spec), X, m)]
+        for w in range(m + 1):
+            index = FanIndex(FIX, bounds, w, recs)
+            got = [
+                tuple(index.support[j] for j in picked)
+                for picked in itertools.combinations(range(len(index.support)), m)
+                if index.admits(list(picked))
+            ]
+            assert got == naive_fan(recs, m, w, bounds), w
+
+    def test_counts_saturate_past_the_cap(self, monkeypatch):
+        # only 5 (dimension 1) fits under the first bound, so the weight-2 fan
+        # counts the 63 dimension-1 primes after it; the never-reached state
+        # with no weight left counts the 83 dimension-0 primes and saturates
+        recs = records_upto(900)
+        bounds = [6.0, 900.0]
+        count = len(enumerate_fan(FIX, bounds, 2, recs))
+        monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
+        index = FanIndex(FIX, bounds, 2, recs)
+        assert index.counts.max() == count + 1
+        assert [index.unrank(k) for k in range(count)] == enumerate_fan(FIX, bounds, 2, recs)
+
+    def test_rank_out_of_range_is_refused(self):
+        bounds = ln_sequence(parse_growth("pow:1"), 14.0, 2)
+        index = FanIndex(FIX, bounds, 1, records_upto(196))
+        for k in (-1, index.count):
+            with pytest.raises(IndexError):
+                index.unrank(k)
+
+    def test_oversized_index_is_refused(self, monkeypatch):
+        # (m + 1)(w + 1)(support + 1) = 3 * 3 * 9 counts: 8 support primes below 30
+        recs = records_upto(900)
+        bounds = ln_sequence(parse_growth("affine:0,30"), 1.0, 2)
+        monkeypatch.setattr("selmerfan.fans.MAX_INDEX_COUNTS", 80)
+        with pytest.raises(ConfigError, match="needs 81 counts"):
+            FanIndex(FIX, bounds, 2, recs)
+        monkeypatch.setattr("selmerfan.fans.MAX_INDEX_COUNTS", 81)
+        assert FanIndex(FIX, bounds, 2, recs).count == len(enumerate_fan(FIX, bounds, 2, recs))
+
+
 def fan_law(m, w, X, growth, recs, trials, seed):
-    """The walk law of the fan, sampled from the list enumerate_fan built."""
-    bounds = ln_sequence(growth, X, m)
-    elements = enumerate_fan(FIX, bounds, w, recs)
-    return fan_distribution(elements, bounds, recs, Distribution.point_mass(0), trials, seed)
+    """The walk law of the fan, sampled by count from its index."""
+    index = FanIndex(FIX, ln_sequence(growth, X, m), w, recs)
+    return fan_distribution(index, recs, Distribution.point_mass(0), trials, seed)
 
 
 class TestFanDistribution:
