@@ -118,6 +118,12 @@ def _require(config: argparse.Namespace, *names: str) -> None:
             raise ConfigError(f"{config.subcommand} requires --{name.replace('_', '-')}")
 
 
+def _require_seed(config: argparse.Namespace) -> None:
+    _require(config, "seed")
+    if config.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {config.seed}")
+
+
 def _load_curve(config: argparse.Namespace) -> CurveQ:
     for curve in read_curves_csv(config.curve_file):
         if curve.label == config.label:
@@ -166,7 +172,7 @@ def _run_evolve(config: argparse.Namespace) -> dict:
 
 
 def _run_simulate(config: argparse.Namespace) -> dict:
-    _require(config, "seed")
+    _require_seed(config)
     initial = RhoE(config.rho).initial_distribution()
     if config.synthetic:
         stream = parse_synthetic(config.synthetic)
@@ -225,7 +231,7 @@ def _run_frobclass(config: argparse.Namespace) -> dict:
 
 def _run_fan(config: argparse.Namespace) -> dict:
     if config.trials is not None:
-        _require(config, "seed")
+        _require_seed(config)
     curve = _load_curve(config)
     growth = parse_growth(config.growth)
     bounds = ln_sequence(growth, config.X, config.m)
@@ -242,7 +248,7 @@ def _run_fan(config: argparse.Namespace) -> dict:
     }
     # list the fan only when the output shows it: a report, the cubics, or the bare fan
     if config.out or config.emit_cubics or config.trials is None:
-        payload["elements"] = elements = enumerate_fan(curve, bounds, config.w, records)
+        payload["elements"] = elements = enumerate_fan(index)
     if config.emit_cubics:
         csv = "d,polynomial\n" + "".join(f"{e.d_value},{e.cubic_poly}\n" for e in elements)
         _atomic_write(config.emit_cubics, csv)

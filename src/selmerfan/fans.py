@@ -153,8 +153,8 @@ def lift_count(elem: FanElement) -> int:
 class FanIndex:
     """A weight-w fan under the bounds L_1..L_m of ln_sequence, held by count.
 
-    It gives the fan's `count`, its k-th element in sorted order,
-    membership, and the sorted list on request. The records must cover
+    It gives the fan's `count`, its k-th element in sorted order and
+    membership; `enumerate_fan` lists it, sorted. The records must cover
     every good prime below the last bound; a gap in them is an error, not a
     silent shrink.
 
@@ -237,12 +237,6 @@ class FanIndex:
             i, r = j + 1, r - self.dims[j]
         return self.element(picked)
 
-    def elements(self) -> list[FanElement]:
-        """Every element, sorted: a walk down the live choices only."""
-        out: list[FanElement] = []
-        self._extend(0, 0, self.w, [], out)
-        return out
-
     def _extend(self, pos: int, i: int, r: int, picked: list[int], out: list[FanElement]) -> None:
         # a row is 0 past the last prime under L_pos; read it that far once, as ints
         row = self.counts[pos, r, i : np.count_nonzero(self.counts[pos, r]) + 1].tolist()
@@ -256,11 +250,11 @@ class FanIndex:
                 picked.pop()
 
 
-def enumerate_fan(
-    curve: CurveQ, bounds: list[float], w: int, records: dict[int, PrimeClassRecord]
-) -> list[FanElement]:
-    """All weight-w support m-tuples under the bounds, sorted: the FanIndex's elements."""
-    return FanIndex(curve, bounds, w, records).elements()
+def enumerate_fan(index: FanIndex) -> list[FanElement]:
+    """Every element of the indexed fan, sorted: a walk down the live choices only."""
+    out: list[FanElement] = []
+    index._extend(0, 0, index.w, [], out)
+    return out
 
 
 def _substream_seed(seed: int, tag: int, idx: int = 0) -> int:

@@ -33,7 +33,7 @@ from selmerfan.f3geom import (
     lagrangians,
     ramified_coordinatewise_lagrangians,
 )
-from selmerfan.fans import enumerate_fan, lift_count, ln_sequence, parse_growth
+from selmerfan.fans import FanIndex, enumerate_fan, lift_count, ln_sequence, parse_growth
 from selmerfan.gl2f3 import det_coset_stats, enumerate_group, match_class, sl2_no_index2_normal
 from selmerfan.store import record_to_line
 
@@ -244,7 +244,7 @@ def test_criterion_9_fan_matches_naive_reference():
     support = [p for p in sorted(records) if records[p].in_DB_support]
 
     for w in (1, 2):
-        fan = enumerate_fan(FIXTURE, bounds, w, records)
+        fan = enumerate_fan(FanIndex(FIXTURE, bounds, w, records))
         naive = []
         for i, q1 in enumerate(support):
             if q1 >= bounds[0]:
@@ -262,7 +262,7 @@ def test_criterion_9_fan_matches_naive_reference():
             assert all(k**3 != d for k in (root - 1, root, root + 1))
             assert lift_count(elem) == 36
 
-    single = enumerate_fan(FIXTURE, bounds[:1], 1, records)
+    single = enumerate_fan(FanIndex(FIXTURE, bounds[:1], 1, records))
     naive_single = [
         (p,) for p in support if p < 200.0 and records[p].dim_fp == 1
     ]

@@ -14,6 +14,7 @@ from selmerfan.chain import (
     Distribution,
     RhoE,
     _draw_initial,
+    _philox_keys,
     _stream_element,
     _uniform_matrix,
     cij,
@@ -407,12 +408,21 @@ def _walk_scalar(state: ChainState, element, ut: float, ul: float) -> ChainState
     return ChainState(state.dim + delta, state.steps_taken + 1)
 
 
+def oracle_uniforms(seed: int, trials: range, width: int) -> np.ndarray:
+    """Each trial's row from a Philox keyed by its own SeedSequence: the oracle for the keys."""
+    rows = np.empty((len(trials), width))
+    for row, trial in zip(rows, trials):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        np.random.Generator(np.random.Philox(ss)).random(out=row)
+    return rows
+
+
 def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
     """Loop-based twin of simulate_chain on the same uniforms: the oracle for the vector path."""
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     elements = list(prime_stream)
-    u = _uniform_matrix(seed, range(trials), 1 + 2 * len(elements))
+    u = oracle_uniforms(seed, range(trials), 1 + 2 * len(elements))
     s0 = _draw_initial(initial, u[:, 0])
     counts: dict[int, int] = {}
     dropped = 0
@@ -434,7 +444,7 @@ def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, s
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     elements = [_stream_element(e) for e in prime_stream]
-    s = chain._walk(initial, elements, _uniform_matrix(seed, range(trials), 1 + 2 * len(elements)))
+    s = chain._walk(initial, elements, oracle_uniforms(seed, range(trials), 1 + 2 * len(elements)))
     kept = s <= S_MAX
     n_kept = int(kept.sum())
     if n_kept == 0:
@@ -442,6 +452,42 @@ def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, s
     values, counts = np.unique(s[kept], return_counts=True)
     mass = {int(v): c / n_kept for v, c in zip(values, counts)}
     return Distribution(mass, truncation_error=(trials - n_kept) / trials)
+
+
+# seeds of 1, 1, 2, 4, 5, 5 and 7 32-bit words: SeedSequence pads up to 4 and mixes in the rest
+SEEDS = [0, 7, 2**64 - 59, 2**128 - 1, 2**128, 3**90, 2**200 + 12345]
+
+
+class TestSubstreamKeys:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_are_the_seed_sequence_keys(self, seed):
+        for trials in (range(0, 2), range(2**31, 2**31 + 1), range(2**32 - 1, 2**32), range(5, 5)):
+            want = [
+                np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
+                for t in trials
+            ]
+            got = _philox_keys(seed, trials)
+            assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
+            assert got.tolist() == [k.tolist() for k in want], trials
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_match_the_oracle(self, seed):
+        # 4100 trials take two key blocks
+        for trials in (range(0, 40), range(2**32 - 3, 2**32), range(0), range(5, 4105)):
+            got = _uniform_matrix(seed, trials, 5)
+            assert np.array_equal(got, oracle_uniforms(seed, trials, 5)), trials
+
+    def test_one_seed_sequence_per_call(self, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        simulate_chain(delta0(), [(1, "split"), (2, "split")], 1000, seed=5)
+        assert len(built) <= 1
 
 
 class TestChunkedSimulation:

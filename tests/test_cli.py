@@ -139,6 +139,31 @@ class TestExitCodes:
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
         assert not os.path.exists(cubics)
 
+    def test_negative_seed_is_2_before_any_work(
+        self, tmp_path, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        cubics = str(tmp_path / "cubics.csv")
+        curve = ["--curve-file", curve_file, "--label", "fix", "--seed", "-3"]
+        for argv in (
+            ["simulate", "--trials", "3", "--synthetic", "2x1s", "--seed", "-1"],
+            ["simulate", *curve, "--max-prime", "20000", "--trials", "3"],
+            ["fan", *curve, "--m", "2", "--w", "2", "--X", "40", "--growth", "pow:1",
+             "--emit-cubics", cubics, "--trials", "10"],
+        ):
+            assert main(argv) == 2, argv
+            assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+        assert not os.path.exists(cubics)
+
+    def test_trials_past_one_spawn_word_is_2_before_any_draw(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("uniforms drawn")
+
+        monkeypatch.setattr("selmerfan.chain._uniform_matrix", refuse)
+        argv = ["simulate", "--trials", "4294967297", "--seed", "1", "--synthetic", "3x1s"]
+        assert main(argv) == 2
+        assert "at most 2^32" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "bound", [["--X", "inf", "--growth", "pow:1"], ["--X", "nan", "--growth", "pow:1"],
                   ["--X", "40", "--growth", "pow:nan"]],
@@ -568,6 +593,13 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # only sampling needs numpy.random; the other commands should not pay its import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selmerfan.__file__)))
+    code = "import sys, selmerfan.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestClassOutputsArePinned:

@@ -141,14 +141,14 @@ class TestEnumerateFan:
         for m, w, X in [(1, 0, 30.0), (1, 1, 30.0), (2, 1, 14.0), (2, 2, 14.0)]:
             bounds = ln_sequence(growth, X, m)
             recs = records_upto(math.ceil(bounds[-1]))
-            got = enumerate_fan(FIX, bounds, w, recs)
+            got = enumerate_fan(FanIndex(FIX, bounds, w, recs))
             want = naive_fan(recs, m, w, bounds)
             assert [e.primes for e in got] == want, (m, w)
 
     def test_known_small_fan(self):
         growth = parse_growth("pow:1")
         recs = records_upto(196)
-        fan = enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 1, recs)
+        fan = enumerate_fan(FanIndex(FIX, ln_sequence(growth, 14.0, 2), 1, recs))
         assert len(fan) == 76
         first = fan[0]
         assert first.primes == (5, 7)
@@ -161,7 +161,7 @@ class TestEnumerateFan:
         recs = records_upto(196)
         # x^3 - d is irreducible unless d is a cube; a product of distinct
         # primes greater than 1 is squarefree, so never a cube
-        for elem in enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 2, recs):
+        for elem in enumerate_fan(FanIndex(FIX, ln_sequence(growth, 14.0, 2), 2, recs)):
             assert elem.d_value > 1
             assert len(set(elem.primes)) == len(elem.primes)
             assert all(is_prime(q) for q in elem.primes)
@@ -170,7 +170,7 @@ class TestEnumerateFan:
     def test_weight_accounting(self):
         growth = parse_growth("pow:1")
         recs = records_upto(900)
-        fan = enumerate_fan(FIX, ln_sequence(growth, 30.0, 2), 2, recs)
+        fan = enumerate_fan(FanIndex(FIX, ln_sequence(growth, 30.0, 2), 2, recs))
         for elem in fan:
             assert elem.w == 2
             assert sum(recs[q].dim_fp for q in elem.primes) == 2
@@ -179,7 +179,8 @@ class TestEnumerateFan:
         recs = records_upto(196)
         gc.disable()
         try:
-            fan = enumerate_fan(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
+            bounds = ln_sequence(parse_growth("pow:1"), 14.0, 2)
+            fan = enumerate_fan(FanIndex(FIX, bounds, 1, recs))
             ref = weakref.ref(fan[0])
             del fan
             assert ref() is None
@@ -191,32 +192,32 @@ class TestEnumerateFan:
         recs = records_upto(100)
         recs.pop(13)
         with pytest.raises(DataError, match="missing"):
-            enumerate_fan(FIX, ln_sequence(growth, 30.0, 1), 1, recs)
+            enumerate_fan(FanIndex(FIX, ln_sequence(growth, 30.0, 1), 1, recs))
 
     def test_short_cache_is_loud(self):
         growth = parse_growth("pow:1")
         recs = records_upto(50)
         with pytest.raises(DataError):
-            enumerate_fan(FIX, ln_sequence(growth, 14.0, 2), 1, recs)
+            enumerate_fan(FanIndex(FIX, ln_sequence(growth, 14.0, 2), 1, recs))
 
     def test_bad_parameters(self):
         growth = parse_growth("pow:1")
         recs = records_upto(100)
         with pytest.raises(ConfigError, match="m >= 1"):
-            enumerate_fan(FIX, [], 0, recs)
+            enumerate_fan(FanIndex(FIX, [], 0, recs))
         with pytest.raises(ConfigError, match="weight must lie in 0..2"):
-            enumerate_fan(FIX, ln_sequence(growth, 30.0, 2), 3, recs)
+            enumerate_fan(FanIndex(FIX, ln_sequence(growth, 30.0, 2), 3, recs))
 
     def test_fan_past_the_cap_is_refused(self, monkeypatch):
         growth = parse_growth("pow:1")
         recs = records_upto(1600)
         bounds = ln_sequence(growth, 40.0, 2)
-        count = len(enumerate_fan(FIX, bounds, 2, recs))
+        count = len(enumerate_fan(FanIndex(FIX, bounds, 2, recs)))
         monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
-        assert len(enumerate_fan(FIX, bounds, 2, recs)) == count
+        assert len(enumerate_fan(FanIndex(FIX, bounds, 2, recs))) == count
         monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count - 1)
         with pytest.raises(ConfigError, match=f"MAX_FAN_ELEMENTS = {count - 1}"):
-            enumerate_fan(FIX, bounds, 2, recs)
+            enumerate_fan(FanIndex(FIX, bounds, 2, recs))
 
 
 # every fan TestEnumerateFan lists, as (growth, X, m, record bound), plus an
@@ -237,7 +238,7 @@ class TestFanIndex:
         bounds = ln_sequence(parse_growth(spec), X, m)
         for w in range(m + 1):
             index = FanIndex(FIX, bounds, w, recs)
-            elements = enumerate_fan(FIX, bounds, w, recs)
+            elements = enumerate_fan(index)
             assert index.count == len(elements), w
             assert [index.unrank(k) for k in range(index.count)] == elements, w
 
@@ -261,11 +262,11 @@ class TestFanIndex:
         # with no weight left counts the 83 dimension-0 primes and saturates
         recs = records_upto(900)
         bounds = [6.0, 900.0]
-        count = len(enumerate_fan(FIX, bounds, 2, recs))
+        count = len(enumerate_fan(FanIndex(FIX, bounds, 2, recs)))
         monkeypatch.setattr("selmerfan.fans.MAX_FAN_ELEMENTS", count)
         index = FanIndex(FIX, bounds, 2, recs)
         assert index.counts.max() == count + 1
-        assert [index.unrank(k) for k in range(count)] == enumerate_fan(FIX, bounds, 2, recs)
+        assert [index.unrank(k) for k in range(count)] == enumerate_fan(index)
 
     def test_rank_out_of_range_is_refused(self):
         bounds = ln_sequence(parse_growth("pow:1"), 14.0, 2)
@@ -282,7 +283,8 @@ class TestFanIndex:
         with pytest.raises(ConfigError, match="needs 81 counts"):
             FanIndex(FIX, bounds, 2, recs)
         monkeypatch.setattr("selmerfan.fans.MAX_INDEX_COUNTS", 81)
-        assert FanIndex(FIX, bounds, 2, recs).count == len(enumerate_fan(FIX, bounds, 2, recs))
+        index = FanIndex(FIX, bounds, 2, recs)
+        assert index.count == len(enumerate_fan(index))
 
 
 def fan_law(m, w, X, growth, recs, trials, seed):
