@@ -12,7 +12,6 @@ tables and even rank deltas, one reproducible substream per trial.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,46 +280,66 @@ def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray,
     return value ^ value >> 16, hash_const
 
 
-def _philox_keys(seed: int, trials: range) -> np.ndarray:
-    """The Philox key of SeedSequence(entropy=seed, spawn_key=(trial,)) for each trial.
+class _Substreams:
+    """Uniforms of every trial's Philox substream under one seed, from any column on.
 
-    A spawned SeedSequence pads the seed to its 4 pool words, so the pool
-    before the spawn word is SeedSequence(entropy=seed).pool for every
-    trial. Each trial's one 32-bit spawn word is mixed into those 4 words,
-    and the pool is hashed out as generate_state(2, uint64), for all the
-    trials at once. Trial indices must be below 2^32.
-    """
-    words = max(1, -(-int(seed).bit_length() // 32))
-    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
-    spawn = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    state = []
-    for word in np.random.SeedSequence(entropy=seed).pool.astype(np.uint64):
-        value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
-        mixed = (_MIX_L * word - _MIX_R * value) & _MASK32
-        state.append(mixed ^ mixed >> 16)
-    hash_const = _INIT_B
-    for k, value in enumerate(state):
-        state[k], hash_const = _hashmix(value, hash_const, _MULT_B)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-
-
-@functools.cache
-def _key_type() -> type:
-    """A seed sequence that hands Philox one precomputed key, in place of its SeedSequence.
-
-    Built on first use, since subclassing at import loads numpy.random into every command.
+    Trial t draws from Generator(Philox(SeedSequence(entropy=seed, spawn_key=(t,)))).
+    Philox is counter-based: uniform n of a trial is word n % 4 of the block
+    at counter n // 4 + 1 under the trial's key. So one bit generator,
+    reseated through its public state with a trial's key and a start counter,
+    draws any column range of any trial with the bytes of a fresh generator.
+    Trial indices must be below 2^32.
     """
 
-    class Key(np.random.bit_generator.ISeedSequence):
-        def __init__(self, key: np.ndarray):
-            self.key = key
+    def __init__(self, seed: int):
+        # a spawned SeedSequence pads the seed to its 4 pool words, so the pool before the
+        # spawn word is SeedSequence(entropy=seed).pool for every trial: read it once
+        words = max(1, -(-int(seed).bit_length() // 32))
+        self._hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
+        self._pool = np.random.SeedSequence(entropy=seed).pool.astype(np.uint64)
+        self._bit_generator = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bit_generator)
+        # numpy's own layout of a fresh state, whose spent buffer makes the next draw compute
+        # the block after the counter; draws overwrite only its key and counter
+        self._state = self._bit_generator.state
+        self._counter = self._state["state"]["counter"].tolist()
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ConsistencyError(f"a Philox key is 2 uint64 words, not {n_words} {dtype}")
-            return self.key
+    def keys(self, trials: range) -> np.ndarray:
+        """The Philox key of SeedSequence(entropy=seed, spawn_key=(trial,)) for each trial.
 
-    return Key
+        Each trial's one 32-bit spawn word is mixed into the 4 pool words, and
+        the pool is hashed out as generate_state(2, uint64), for all the
+        trials at once.
+        """
+        hash_const = self._hash_const
+        spawn = np.arange(trials.start, trials.stop, dtype=np.uint64)
+        state = []
+        for word in self._pool:
+            value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
+            mixed = (_MIX_L * word - _MIX_R * value) & _MASK32
+            state.append(mixed ^ mixed >> 16)
+        hash_const = _INIT_B
+        for k, value in enumerate(state):
+            state[k], hash_const = _hashmix(value, hash_const, _MULT_B)
+        return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+    def draw(self, trials: range, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Columns start..stop of the trials' rows, drawn into the top left corner of out.
+
+        Each row is reseated at the block that holds column start, so out
+        needs start % 4 more columns than the view returned, which skips them.
+        """
+        lead = start % 4
+        rows = out[: len(trials), : lead + stop - start]
+        inner = self._state["state"]
+        inner["counter"] = [start // 4, *self._counter[1:]]
+        for k in range(0, len(trials), _KEY_BLOCK):
+            keys = self.keys(trials[k : k + _KEY_BLOCK]).tolist()
+            for row, key in zip(rows[k : k + _KEY_BLOCK], keys):
+                inner["key"] = key
+                self._bit_generator.state = self._state
+                self._generator.random(out=row)
+        return rows[:, lead:]
 
 
 # trials keyed per vector pass: their key arrays stay small heap blocks beside a chunk,
@@ -328,24 +347,13 @@ def _key_type() -> type:
 _KEY_BLOCK = 4096
 
 
-def _uniform_matrix(seed: int, trials: range, width: int) -> np.ndarray:
-    """The uniforms of the given trials, one row each from Philox under the trial's key."""
-    rows, key_type = np.empty((len(trials), width)), _key_type()
-    for start in range(0, len(trials), _KEY_BLOCK):
-        keys = _philox_keys(seed, trials[start : start + _KEY_BLOCK])
-        for row, key in zip(rows[start : start + _KEY_BLOCK], keys):
-            np.random.Generator(np.random.Philox(key_type(key))).random(out=row)
-    return rows
-
-
-def _walk(initial: Distribution, elements: list[tuple[int, bool]], u: np.ndarray) -> np.ndarray:
-    """Final dimensions of the trials whose uniforms are the rows of u."""
-    s = _draw_initial(initial, u[:, 0])
+def _walk(s: np.ndarray, elements: list[tuple[int, bool]], u: np.ndarray) -> np.ndarray:
+    """Dimensions s after the elements, whose two uniforms a trial are the column pairs of u."""
     for idx, (i, is_split) in enumerate(elements):
         if i == 0:
             continue
         jumps = _JUMPS[i, is_split]
-        ut = u[:, 1 + 2 * idx]
+        ut = u[:, 2 * idx]
         x = np.power(3.0, -(s >> 1).astype(np.float64))
         t0 = ut < _cij_entry(i, 0, x)
         if i == 1:
@@ -353,15 +361,19 @@ def _walk(initial: Distribution, elements: list[tuple[int, bool]], u: np.ndarray
         else:
             w = jumps.shape[1]  # take at the flat [trace, lift] offset, faster than a 2-D index
             row = np.where(t0, 0, np.where(ut >= 1.0 - _cij_entry(2, 2, x), 2 * w, w))
-            delta = jumps.take(row + (u[:, 2 + 2 * idx] * w).astype(np.int64))
+            delta = jumps.take(row + (u[:, 1 + 2 * idx] * w).astype(np.int64))
         s = s + delta
         if np.any(s < 0):
             raise ConsistencyError("walk reached a negative dimension")
     return s
 
 
-# uniforms per chunk (32 MiB): max(1, _CHUNK // width) trials walk at once
+MAX_TRIALS = 2**32  # one 32-bit spawn word per trial
+
+# uniforms per block (32 MiB), and the fewest trials a chunk walks at once: a stream wider
+# than _CHUNK // _ROW_FLOOR goes in column blocks, so the per-element loop runs over many rows
 _CHUNK = 2**22
+_ROW_FLOOR = 4096
 
 
 def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
@@ -370,23 +382,32 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     Every stream element consumes exactly two uniforms per trial (class
     draw, lift draw) whether or not it moves the walk, so trajectories are
     reproducible functions of (seed, trial) alone. The trials walk in
-    chunks and only their final dimensions are counted, so peak memory is
-    one chunk's uniforms, whatever the number of trials: at most 2^22
-    doubles (32 MiB), or one trial's row if that is longer.
+    chunks of min(trials, max(4096, 2^22 // width)) rows, a long stream in
+    column blocks of about 2^22 uniforms, all drawn into one buffer, and
+    only final dimensions are counted. So peak memory is one block: at most
+    2^22 doubles (32 MiB) and three per row, whatever the number of trials
+    or the length of the stream.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
-    if trials > 2**32:
+    if trials > MAX_TRIALS:
         raise ConfigError(f"trials must be at most 2^32, one 32-bit spawn word each, got {trials}")
     elements = [_stream_element(e) for e in prime_stream]
     width = 1 + 2 * len(elements)
-    rows = max(1, _CHUNK // width)
+    rows = min(trials, max(_ROW_FLOOR, _CHUNK // width))
+    pairs = max(1, (_CHUNK // rows - 1) // 2)  # elements per column block
+    # a block after the first starts at an odd column, up to 3 past its reseat
+    out = np.empty((rows, min(width, 3 + 2 * pairs)))
+    streams = _Substreams(seed)
     counts = np.zeros(S_MAX + 1, dtype=np.int64)
     n_kept = 0
-    for start in range(0, trials, rows):
-        chunk = range(start, min(start + rows, trials))
-        # no name holds the uniforms, so they are freed before the next chunk's are drawn
-        s = _walk(initial, elements, _uniform_matrix(seed, chunk, width))
+    for first in range(0, trials, rows):
+        chunk = range(first, min(first + rows, trials))
+        u = streams.draw(chunk, 0, min(width, 1 + 2 * pairs), out)
+        s = _walk(_draw_initial(initial, u[:, 0]), elements[:pairs], u[:, 1:])
+        for e in range(pairs, len(elements), pairs):
+            block = elements[e : e + pairs]
+            s = _walk(s, block, streams.draw(chunk, 1 + 2 * e, 1 + 2 * (e + len(block)), out))
         kept = s[s <= S_MAX]
         counts += np.bincount(kept, minlength=S_MAX + 1)
         n_kept += len(kept)

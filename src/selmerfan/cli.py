@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .chain import (
+    MAX_TRIALS,
     Distribution,
     RhoE,
     evolve,
@@ -386,12 +387,16 @@ def emit(report: Report, config: argparse.Namespace) -> None:
         print(json.dumps(report.payload, sort_keys=True, indent=2, default=_render))
 
 
-class _Positive(argparse.Action):
-    """Store a positive count; raise ConfigError (exit 2) before any run starts."""
+class _Trials(argparse.Action):
+    """Store a trial count, 1..MAX_TRIALS; raise ConfigError (exit 2) before any run starts."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if value < 1:
             raise ConfigError(f"{option_string} must be positive, got {value}")
+        if value > MAX_TRIALS:
+            raise ConfigError(
+                f"{option_string} must be at most 2^32, one 32-bit spawn word each, got {value}"
+            )
         setattr(namespace, self.dest, value)
 
 
@@ -422,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0, help="initial even mass")
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo walk over a prime stream")
-    p.add_argument("--trials", type=int, required=True, action=_Positive)
+    p.add_argument("--trials", type=int, required=True, action=_Trials)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--synthetic", help="stream spec like 40x1s+5x2s")
     p.add_argument("--curve-file")
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--growth", required=True, help="log | pow:alpha | affine:a,b")
     p.add_argument("--emit-cubics")
-    p.add_argument("--trials", type=int, action=_Positive, help="also sample the fan distribution")
+    p.add_argument("--trials", type=int, action=_Trials, help="also sample the fan distribution")
     p.add_argument("--rho", type=float, default=1.0)
 
     p = sub.add_parser("lagrangians", parents=[common], help="enumerate Lagrangian subspaces")

@@ -14,9 +14,8 @@ from selmerfan.chain import (
     Distribution,
     RhoE,
     _draw_initial,
-    _philox_keys,
     _stream_element,
-    _uniform_matrix,
+    _Substreams,
     cij,
     evolve,
     ml_step,
@@ -444,7 +443,8 @@ def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, s
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     elements = [_stream_element(e) for e in prime_stream]
-    s = chain._walk(initial, elements, oracle_uniforms(seed, range(trials), 1 + 2 * len(elements)))
+    u = oracle_uniforms(seed, range(trials), 1 + 2 * len(elements))
+    s = chain._walk(_draw_initial(initial, u[:, 0]), elements, u[:, 1:])
     kept = s <= S_MAX
     n_kept = int(kept.sum())
     if n_kept == 0:
@@ -466,16 +466,25 @@ class TestSubstreamKeys:
                 np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
                 for t in trials
             ]
-            got = _philox_keys(seed, trials)
+            got = _Substreams(seed).keys(trials)
             assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
             assert got.tolist() == [k.tolist() for k in want], trials
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rows_match_the_oracle(self, seed):
+        # every offset of a start column in its Philox block, and a start past 1024 blocks;
         # 4100 trials take two key blocks
+        starts, n = (0, 1, 2, 3, 4, 5, 7, 4097), 6
+        streams = _Substreams(seed)
+        out = np.full((4100, n + 3), np.nan)
         for trials in (range(0, 40), range(2**32 - 3, 2**32), range(0), range(5, 4105)):
-            got = _uniform_matrix(seed, trials, 5)
-            assert np.array_equal(got, oracle_uniforms(seed, trials, 5)), trials
+            want = np.empty((len(starts), len(trials), n))
+            for k, trial in enumerate(trials):
+                row = oracle_uniforms(seed, range(trial, trial + 1), starts[-1] + n)[0]
+                want[:, k] = [row[start : start + n] for start in starts]
+            for start, block in zip(starts, want):
+                got = streams.draw(trials, start, start + n, out)
+                assert np.array_equal(got, block), (trials, start)
 
     def test_one_seed_sequence_per_call(self, monkeypatch):
         built = []
@@ -494,19 +503,50 @@ class TestChunkedSimulation:
     STREAM = [(1, "split"), (2, "split"), (0, "inert"), (1, "inert"), (2, "split"), (1, "split")] * 3
     INITIAL = Distribution({0: 0.5, 1: 0.3, 6: 0.2})
 
-    @pytest.mark.parametrize("rows", [1, 7, 333])
-    def test_uneven_chunks_match_both_oracles(self, monkeypatch, rows):
-        # 1000 trials leave a short last chunk at each size
+    def assert_both_oracles(self):
         expected = simulate_chain_unchunked(self.INITIAL, self.STREAM, 1000, seed=13)
         scalar = simulate_chain_scalar(self.INITIAL, self.STREAM, 1000, seed=13)
-        monkeypatch.setattr(chain, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
         got = simulate_chain(self.INITIAL, self.STREAM, 1000, seed=13)
         assert list(got.mass.items()) == list(expected.mass.items())
         assert got.mass == scalar.mass
         assert got.truncation_error == expected.truncation_error == scalar.truncation_error
 
+    @pytest.mark.parametrize("rows", [1, 7, 333])
+    def test_uneven_chunks_match_both_oracles(self, monkeypatch, rows):
+        # 1000 trials leave a short last chunk at each size; each chunk's rows are one block
+        monkeypatch.setattr(chain, "_ROW_FLOOR", 1)
+        monkeypatch.setattr(chain, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
+        self.assert_both_oracles()
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7])
+    def test_column_blocks_match_both_oracles(self, monkeypatch, pairs):
+        # blocks of one or three elements start 1 and 3 past a reseat in turn, blocks of two
+        # always 1; 18 elements leave a short last block at 7, and 333-row chunks a short last chunk
+        monkeypatch.setattr(chain, "_ROW_FLOOR", 333)
+        monkeypatch.setattr(chain, "_CHUNK", 333 * (1 + 2 * pairs))
+        self.assert_both_oracles()
+
+    def test_blocks_hold_at_most_one_chunk_and_three_per_row(self, monkeypatch):
+        # a stream wider than a chunk, walked in 63 blocks of up to 67 elements over 60 rows
+        monkeypatch.setattr(chain, "_CHUNK", 2**13)
+        stream = [(1, "split"), (2, "split")] * 2100
+        buffers = []
+        draw = chain._Substreams.draw
+
+        def spy(self, trials, start, stop, out):
+            buffers.append((len(trials), out.size, start % 4 + stop - start))
+            return draw(self, trials, start, stop, out)
+
+        monkeypatch.setattr(chain._Substreams, "draw", spy)
+        got = simulate_chain(delta0(), stream, 60, seed=2)
+        assert 1 + 2 * len(stream) > chain._CHUNK and len(buffers) == 63
+        assert {size for _, size, _ in buffers} == {60 * 137}
+        for rows, size, drawn in buffers:
+            assert rows * drawn <= size <= chain._CHUNK + 3 * rows
+        assert got == simulate_chain_unchunked(delta0(), stream, 60, seed=2)
+
     def test_default_chunks_match_the_oracle(self):
-        # width 4401 gives 953-row chunks, so 2500 trials walk as three
+        # width 4401 walks 2500 trials as one chunk, in column blocks of 838, 838 and 524 elements
         stream = [(1, "split")] * 2100 + [(2, "split")] * 100
         expected = simulate_chain_unchunked(delta0(), stream, 2500, seed=4)
         got = simulate_chain(delta0(), stream, 2500, seed=4)

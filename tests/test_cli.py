@@ -159,10 +159,25 @@ class TestExitCodes:
         def refuse(*args):
             raise RuntimeError("uniforms drawn")
 
-        monkeypatch.setattr("selmerfan.chain._uniform_matrix", refuse)
+        monkeypatch.setattr("selmerfan.chain._Substreams.draw", refuse)
         argv = ["simulate", "--trials", "4294967297", "--seed", "1", "--synthetic", "3x1s"]
         assert main(argv) == 2
         assert "at most 2^32" in capsys.readouterr().err
+
+    def test_trials_past_one_spawn_word_is_2_before_any_cache_work(
+        self, tmp_path, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        cubics = str(tmp_path / "cubics.csv")
+        curve = ["--curve-file", curve_file, "--label", "fix", "--seed", "1"]
+        for argv in (
+            ["simulate", *curve, "--max-prime", "20000", "--trials", "4294967297"],
+            ["fan", *curve, "--m", "2", "--w", "2", "--X", "40", "--growth", "pow:1",
+             "--emit-cubics", cubics, "--trials", "4294967297"],
+        ):
+            assert main(argv) == 2, argv
+            assert "--trials must be at most 2^32" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+        assert not os.path.exists(cubics)
 
     @pytest.mark.parametrize(
         "bound", [["--X", "inf", "--growth", "pow:1"], ["--X", "nan", "--growth", "pow:1"],
