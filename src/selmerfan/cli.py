@@ -387,23 +387,30 @@ def emit(report: Report, config: argparse.Namespace) -> None:
         print(json.dumps(report.payload, sort_keys=True, indent=2, default=_render))
 
 
-class _Trials(argparse.Action):
-    """Store a trial count, 1..MAX_TRIALS; raise ConfigError (exit 2) before any run starts."""
+class _Positive(argparse.Action):
+    """Store a count of at least 1; raise ConfigError (exit 2) before any run starts."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if value < 1:
             raise ConfigError(f"{option_string} must be positive, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+class _Trials(_Positive):
+    """Store a trial count, 1..MAX_TRIALS."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
         if value > MAX_TRIALS:
             raise ConfigError(
                 f"{option_string} must be at most 2^32, one 32-bit spawn word each, got {value}"
             )
-        setattr(namespace, self.dest, value)
+        super().__call__(parser, namespace, value, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
+    common.add_argument("--jobs", type=int, default=1, action=_Positive, help="worker processes")
     common.add_argument("--out", help="write the full JSON report here atomically")
     # the subcommands that read one curve of a curve file, and those that
     # also classify it up to a bound

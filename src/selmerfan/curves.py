@@ -8,8 +8,8 @@ and of its square), splitting in the quadratic cyclotomic field and the
 support flags.
 
 Trace a_p and determinant p mod 3 pick the class, except where a scalar
-and a unipotent class both fit; one test, x^p = x modulo the 3-division
-polynomial, tells those two apart. Nothing here enumerates GL2(F3): the
+and a unipotent class both fit; one test, whether the discriminant is a
+cube mod p, tells those two apart. Nothing here enumerates GL2(F3): the
 class, both torsion dimensions and the predicted densities are read off
 `gl2f3.conjugacy_classes()`. Point counting is a quadratic character sum
 for p <= 229 and Shanks-Mestre baby-step giant-step above it, with
@@ -17,6 +17,7 @@ O(p^(1/4)) group operations per point; p is capped at 10^6.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from multiprocessing import Pool
@@ -110,11 +111,13 @@ def ap(curve: CurveQ, p: int) -> int:
     """Frobenius trace a_p = p + 1 - #E(F_p).
 
     For p <= 229 this is the quadratic character sum over x. Above it,
-    #E(F_p) comes from Shanks-Mestre baby-step giant-step: the orders of
-    points on E and on its quadratic twist are found by searching the
-    Hasse interval, until it holds exactly one N that is a multiple of
-    every order found on E with 2p + 2 - N a multiple of every order
-    found on the twist. Mestre's theorem guarantees that for p > 229.
+    #E(F_p) comes from Shanks-Mestre baby-step giant-step: one scan of
+    the whole Hasse interval per point, on E or on its quadratic twist,
+    gives the point's order, or its group's order where the interval
+    holds one multiple only, until the interval holds exactly one N that
+    is a multiple of every value found on E with 2p + 2 - N a multiple of
+    every value found on the twist. Mestre's theorem guarantees that for
+    p > 229.
     The points are taken at x = 0, 1, 2, ... in turn, not drawn at
     random, so the work done, like the result, depends only on the curve
     and p: there is no seed.
@@ -164,49 +167,45 @@ def _mul(n: int, P: tuple[int, int] | None, a: int, p: int) -> tuple[int, int] |
     return R
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _point_order(P: tuple[int, int], a: int, p: int, lo: int, hi: int) -> int:
-    """The order of P, given that some n in [lo, hi] has n * P = infinity.
+    """The order of P, or, if [lo, hi] holds only one multiple of it, that multiple.
 
-    Baby steps j * P for 1 <= j <= m, keyed by x, and giant steps
-    (lo + m + i(2m + 1)) * P find a multiple n of the order, since a giant
-    step equal to +-j * P, or to infinity, puts n within m of it. Removing
-    every prime the order does not need from n leaves the order.
+    Baby steps j * P for j <= m are keyed by x. An order of at most
+    2m + 1 shows up while stepping to (m + 1) * P, as infinity or as an x
+    already keyed, and is read off there. Otherwise giant steps
+    (lo + m + i(2m + 1)) * P scan the disjoint windows [c - m, c + m]
+    covering [lo, hi]; a step equal to +-j * P, or to infinity, lists the
+    one multiple of the order in its window. Two multiples differ by the
+    order; a single one is the order of the group P lies in, which the
+    caller's Hasse interval contains.
     """
     m = isqrt((hi - lo) // 2) + 1
     baby: dict[int, tuple[int, int]] = {}
     Q = P
-    for j in range(1, m + 1):
-        if Q is not None:
-            baby[Q[0]] = (j, Q[1])
-        Q = _add(Q, P, a, p)
+    for j in range(1, m + 2):
+        if Q is None:
+            return j
+        if Q[0] in baby:
+            # the first repeated x: j * P = -i * P with i < j, so the order is i + j
+            return j + baby[Q[0]][0]
+        if j > m:
+            break
+        baby[Q[0]] = (j, Q[1])
+        mP, Q = Q, _add(Q, P, a, p)
     step, c = 2 * m + 1, lo + m
-    G, R = _mul(step, P, a, p), _mul(c, P, a, p)
-    while R is not None and R[0] not in baby:
+    G, R = _add(mP, Q, a, p), _mul(c, P, a, p)
+    hits = []
+    while c - m <= hi:
+        if R is None:
+            hits.append(c)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            hits.append(c - j if R[1] == y else c + j)
         R, c = _add(R, G, a, p), c + step
-        if c - m > hi:
-            raise ConsistencyError(f"no multiple of a point's order in [{lo}, {hi}] at p = {p}")
-    n = c
-    if R is not None:
-        j, y = baby[R[0]]
-        n = c - j if R[1] == y else c + j
-    for q in _prime_factors(n):
-        while n % q == 0 and _mul(n // q, P, a, p) is None:
-            n //= q
-    return n
+    hits = [n for n in hits if n <= hi]
+    if not hits:
+        raise ConsistencyError(f"no multiple of a point's order in [{lo}, {hi}] at p = {p}")
+    return hits[1] - hits[0] if len(hits) > 1 else hits[0]
 
 
 def _mestre_count(A: int, B: int, p: int) -> int:
@@ -215,9 +214,10 @@ def _mestre_count(A: int, B: int, p: int) -> int:
     At each x with d = f(x) != 0, the point (dx, d^2) lies on
     Y^2 = X^3 + Ad^2 X + Bd^3, which is E when d is a square and its
     quadratic twist when it is not, so no square root is taken. The lcms
-    of the point orders found divide #E and 2p + 2 - #E; the candidates
-    in the Hasse interval are one residue class, by the Chinese remainder
-    theorem, and the walk stops when that class meets the interval once.
+    of the values `_point_order` returns divide #E and 2p + 2 - #E; the
+    candidates in the Hasse interval are one residue class, by the Chinese
+    remainder theorem, and the walk stops when that class meets the
+    interval once.
     """
     w = isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
@@ -245,58 +245,24 @@ def _mestre_count(A: int, B: int, p: int) -> int:
     raise ConsistencyError(f"no point fixes #E in the Hasse interval at p = {p}")
 
 
-def division_poly_3(curve: CurveQ) -> tuple[int, int, int, int, int]:
-    """Coefficients of 3x^4 + 6Ax^2 + 12Bx - A^2, ascending."""
-    A, B = curve.A, curve.B
-    return (-A * A, 12 * B, 6 * A, 0, 3)
-
-
-def _pmulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """a * b modulo the monic mod over F_p; ascending lists of length deg(mod)."""
-    n = len(mod) - 1
-    r = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            r[i + j] += x * y
-    for k in range(2 * n - 2, n - 1, -1):
-        c = r[k] % p
-        for i in range(n):
-            r[k - n + i] -= c * mod[i]
-    return [c % p for c in r[:n]]
-
-
-def _psi3_splits(curve: CurveQ, p: int) -> bool:
-    """Whether x^p = x modulo the 3-division polynomial over F_p.
-
-    The quartic has distinct roots at a good prime, so this holds exactly
-    when all four of its roots lie in F_p.
-    """
-    inv3 = pow(3, -1, p)
-    psi = [c * inv3 % p for c in division_poly_3(curve)]
-    x = [0, 1, 0, 0]
-    result, base, e = [1, 0, 0, 0], x, p
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, psi, p)
-        base = _pmulmod(base, base, psi, p)
-        e >>= 1
-    return result == x
-
-
 def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
     """The conjugacy class of Frobenius on E[3] in GL2(F3).
 
     Trace a_p and determinant p mod 3 pin the class, except that a scalar
-    (+-I) and a +-unipotent class share trace and determinant. A scalar
-    fixes every line of E[3], so all four x-coordinates of its nonzero
-    points are rational; a +-unipotent fixes exactly one line. The fixed
-    dimensions of the class and of its square are checked against the
-    point counts p + 1 - a_p of the curve and p + 1 + a_p of its
-    quadratic twist. Callers have checked p through `ap`.
+    (+-I) and a +-unipotent class share trace and determinant, which
+    happens only for p = 1 mod 3. Frobenius permutes the four lines of
+    E[3] through PGL2(F3) = S4, and the quotient S4 -> S3 is the Galois
+    group of Q(zeta_3, disc^(1/3)) (Serre, Invent. Math. 15, 1972). A
+    scalar maps to the identity there and a +-unipotent to a 3-cycle, so
+    with zeta_3 in F_p the class is scalar exactly when the discriminant
+    is a cube mod p. The fixed dimensions of the class and of its square
+    are checked against the point counts p + 1 - a_p of the curve and
+    p + 1 + a_p of its quadratic twist. Callers have checked p through
+    `ap`.
     """
     fits = [c for c in conjugacy_classes() if c.trace == ap_value % 3 and c.det == p % 3]
     if len(fits) > 1:
-        scalar = _psi3_splits(curve, p)
+        scalar = pow(curve.discriminant % p, (p - 1) // 3, p) == 1
         fits = [c for c in fits if (c.size == 1) == scalar]
     if len(fits) != 1:
         raise ConsistencyError(f"{len(fits)} Frobenius classes fit a_p = {ap_value} at p = {p}")
@@ -341,8 +307,8 @@ def classify_prime(curve: CurveQ, p: int) -> PrimeClassRecord:
 def frobenius_class(curve: CurveQ, p: int) -> ConjClass:
     """The conjugacy class of Frobenius acting on the 3-torsion.
 
-    Read off the trace and determinant mod 3, with one test on the
-    3-division polynomial where a scalar and a unipotent class both fit.
+    Read off the trace and determinant mod 3, with one cube test on the
+    discriminant where a scalar and a unipotent class both fit.
     """
     return _frobenius_class(curve, p, ap(curve, p))
 
@@ -353,8 +319,8 @@ def _classify_worker(args):
 
 
 def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeClassRecord]:
-    """Records for the given primes, in the given order; at most one worker per prime."""
-    workers = min(jobs, len(ps))
+    """Records for the given primes, in order; at most one worker per prime and per usable CPU."""
+    workers = min(jobs, len(ps), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [classify_prime(curve, p) for p in ps]
     tasks = [(curve.A, curve.B, curve.label, p) for p in ps]

@@ -203,6 +203,23 @@ def test_criterion_7_canonical_cache_bytes():
     assert digest == "ec773b46cf3e8066e7d8bc4bc4a1e1390c5b2f435653ec4127210429a4119df8"
 
 
+@pytest.mark.parametrize(
+    "a,b,label,digest",
+    [
+        pytest.param(2, 3, "tw", "4a873e783ddac17e1414cd951c702f995e8aa0b604abbddc50a7765fa3ff589a",
+                     id="tw"),
+        # j = 0: the scalar-or-unipotent test decides about half the primes
+        pytest.param(0, -432, "cm",
+                     "fe8accd16b14d1df078e7fac61db1abdec6cd0e2c20fdfa613628c75cd9b1547", id="cm"),
+    ],
+)
+def test_criterion_7_cache_bytes_of_two_more_curves_to_2e4(a, b, label, digest):
+    curve = CurveQ(a, b, label)
+    records = classify_primes(curve, good_primes(curve, 2 * 10**4))
+    text = "".join(record_to_line(r) for r in records)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_criterion_7b_inert_split_is_half():
     records = classified(jobs=1)
     inert = [r for r in records if r.p % 3 == 2]

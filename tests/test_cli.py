@@ -214,6 +214,14 @@ class TestExitCodes:
         assert "--max-prime" in capsys.readouterr().err
         assert not os.path.exists(cache_dir)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_is_2_before_any_work(self, capsys, curve_file, cache_dir, jobs):
+        rc = main(["classify", "--curve-file", curve_file, "--label", "fix",
+                   "--max-prime", "1000", "--jobs", jobs])
+        assert rc == 2
+        assert f"--jobs must be positive, got {jobs}" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
+
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,7 +5,10 @@ quadratic extension directly, so they are slow but unarguable; the library
 must match them exactly on every prime where both run.
 """
 import itertools
+import os
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,6 @@ from selmerfan.curves import (
     density_report,
     dim3_fp,
     dim3_fp2,
-    division_poly_3,
     frobenius_class,
     good_primes,
     is_prime,
@@ -33,8 +35,6 @@ FIX = CurveQ(1, 1, "fix")
 
 
 def pow_mod(xs, e, p):
-    import numpy as np
-
     out = np.ones_like(xs)
     base = xs % p
     while e:
@@ -46,6 +46,20 @@ def pow_mod(xs, e, p):
 
 
 # ---------------------------------------------------------------- reference
+
+def division_poly_3(curve):
+    """Coefficients of 3x^4 + 6Ax^2 + 12Bx - A^2, ascending."""
+    A, B = curve.A, curve.B
+    return (-A * A, 12 * B, 6 * A, 0, 3)
+
+
+def psi3_roots(curve, p):
+    """Roots of the 3-division polynomial in F_p, by a vectorised scan of all x."""
+    c0, c1, c2, _, c4 = (c % p for c in division_poly_3(curve))
+    xs = np.arange(p, dtype=np.int64)
+    x2 = xs * xs % p
+    return xs[((c4 * x2 + c2) % p * x2 + c1 * xs + c0) % p == 0]
+
 
 def curve_points(a, b, p):
     pts = [None]
@@ -59,8 +73,6 @@ def curve_points(a, b, p):
 
 def legendre_ap(a, b, p):
     """a_p = -sum over x of the Legendre symbol of x^3 + ax + b, by Euler's criterion."""
-    import numpy as np
-
     xs = np.arange(p, dtype=np.int64)
     chi = pow_mod((xs * xs % p * xs + a * xs + b) % p, (p - 1) // 2, p)
     return -int(np.where(chi == p - 1, -1, chi).sum())
@@ -80,6 +92,14 @@ def pt_add(P, Q, a, p):
         lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def brute_order(P, a, p):
+    """The order of P by adding P until infinity."""
+    n, Q = 1, P
+    while Q is not None:
+        n, Q = n + 1, pt_add(Q, P, a, p)
+    return n
 
 
 def pt_triple(P, a, p):
@@ -244,20 +264,15 @@ class TestAgainstBruteForce:
         ],
     )
     def test_root_counting_paths_agree(self, a, b, p):
-        # the dimensions are read off the Frobenius class, with a test on the
-        # 3-division polynomial only where a scalar and a unipotent class
+        # the dimensions are read off the Frobenius class, with a cube test
+        # on the discriminant only where a scalar and a unipotent class
         # share trace and determinant; check those classes and two others
         # against a plain vectorised scan of the 3-division roots, where a
         # root r gives two points of the curve when f(r) is a square and
         # two of the quadratic twist when it is not
-        import numpy as np
-
         curve = CurveQ(a, b)
-        c0, c1, c2, _, c4 = (c % p for c in division_poly_3(curve))
-        xs = np.arange(p, dtype=np.int64)
-        psi = (c4 * pow_mod(xs, 4, p) + c2 * pow_mod(xs, 2, p) + c1 * xs + c0) % p
         torsion = {1: 1, p - 1: 1}
-        for r in xs[psi == 0]:
+        for r in psi3_roots(curve, p):
             f = (int(r) ** 3 + a * int(r) + b) % p
             torsion[pow(f, (p - 1) // 2, p)] += 2
         dims = {1: 0, 3: 1, 9: 2}
@@ -310,6 +325,45 @@ class TestBabyStepGiantStep:
         assert ambiguous and max(ambiguous) == 29
 
 
+class TestPointOrder:
+    """`_point_order` against the order found by repeated addition."""
+
+    @staticmethod
+    def points(a, b, p):
+        # points at x = 0..15, every 2-torsion point, and the 3-torsion points
+        # over the roots of the 3-division polynomial
+        c0, c1, c2, _, c4 = division_poly_3(CurveQ(a, b))
+        xs = [x for x in range(p)
+              if x <= 15 or (x**3 + a * x + b) % p == 0
+              or (c4 * x**4 + c2 * x**2 + c1 * x + c0) % p == 0]
+        for x in xs:
+            f = (x**3 + a * x + b) % p
+            ys = [y for y in range(p) if y * y % p == f]
+            if ys:
+                yield (x, ys[0])
+
+    def test_matches_repeated_addition(self):
+        seen = set()
+        for (a, b), p in itertools.product([(1, 1), (2, 3), (0, 1), (1, 0), (-3, 18)],
+                                           [233, 499, 997, 1999]):
+            if CurveQ(a, b).discriminant % p == 0:
+                continue
+            w = isqrt(4 * p)
+            lo, hi = p + 1 - w, p + 1 + w
+            m = isqrt(w) + 1
+            for P in self.points(a % p, b % p, p):
+                order = brute_order(P, a % p, p)
+                multiples = [n for n in range(lo, hi + 1) if n % order == 0]
+                # a lone multiple is returned as it is: it is the group's order
+                expected = order if len(multiples) > 1 else multiples[0]
+                assert curves._point_order(P, a % p, p, lo, hi) == expected, (a, b, p, P)
+                if order <= 2 * m + 1:
+                    seen.add(order if order <= 3 else "at most 2m + 1")
+                else:
+                    seen.add("one multiple" if len(multiples) == 1 else "several multiples")
+        assert seen == {2, 3, "at most 2m + 1", "one multiple", "several multiples"}
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.sampled_from([p for p in primes_upto(1000) if p > 229]))
 @settings(max_examples=80, deadline=None)
@@ -320,6 +374,22 @@ def test_random_curves_match_legendre_count(A, B, p):
     if curve.discriminant % p == 0:
         return
     assert ap(curve, p) == legendre_ap(A, B, p)
+
+
+def test_cube_test_matches_psi3_roots_to_10000():
+    # where a scalar and a unipotent class share trace and determinant, the
+    # class is scalar exactly when all four roots of the 3-division
+    # polynomial lie in F_p; the library decides it by a cube test on the
+    # discriminant instead
+    scalar = {}
+    for a, b in SIX_CURVES:
+        curve = CurveQ(a, b)
+        for p in good_primes(curve, 10_000):
+            if p % 3 == 1 and ap(curve, p) % 3:
+                is_scalar = frobenius_class(curve, p).size == 1
+                assert is_scalar == (len(psi3_roots(curve, p)) == 4), (a, b, p)
+                scalar[a, b, p] = is_scalar
+    assert len(scalar) > 2000 and 0 < sum(scalar.values()) < len(scalar)
 
 
 class TestStructuralInvariants:
@@ -399,7 +469,9 @@ class TestClassification:
         ps = good_primes(FIX, 400)
         assert classify_primes(FIX, ps, jobs=1) == classify_primes(FIX, ps, jobs=3)
 
-    def test_pool_has_at_most_one_worker_per_prime(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The `processes` of every Pool classify_primes asks for; none is started."""
         sizes = []
 
         class RecordingPool:
@@ -416,12 +488,27 @@ class TestClassification:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr("selmerfan.curves.Pool", RecordingPool)
+        return sizes
+
+    def test_pool_has_at_most_one_worker_per_prime(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        sizes = pool_sizes
         assert classify_primes(FIX, [], jobs=2) == []
         assert classify_primes(FIX, [5], jobs=4) == [classify_prime(FIX, 5)]
         assert sizes == []
         ps = [5, 7, 11]
         assert classify_primes(FIX, ps, jobs=8) == [classify_prime(FIX, p) for p in ps]
         assert sizes == [3]
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, pool_sizes, monkeypatch):
+        ps = good_primes(FIX, 100)
+        serial = classify_primes(FIX, ps)
+        cpus = min(len(os.sched_getaffinity(0)), len(ps))
+        assert classify_primes(FIX, ps, jobs=5000) == serial
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert classify_primes(FIX, ps, jobs=5000) == serial
+        assert classify_primes(FIX, ps, jobs=2) == serial
+        assert pool_sizes == [cpus] * (cpus > 1) + [3, 2]
 
     def test_frobenius_class_consistent_with_dims(self):
         for p in good_primes(FIX, 300):
