@@ -172,37 +172,58 @@ def _point_order(P: tuple[int, int], a: int, p: int, lo: int, hi: int) -> int:
 
     Baby steps j * P for j <= m are keyed by x. An order of at most
     2m + 1 shows up while stepping to (m + 1) * P, as infinity or as an x
-    already keyed, and is read off there. Otherwise giant steps
-    (lo + m + i(2m + 1)) * P scan the disjoint windows [c - m, c + m]
-    covering [lo, hi]; a step equal to +-j * P, or to infinity, lists the
-    one multiple of the order in its window. Two multiples differ by the
-    order; a single one is the order of the group P lies in, which the
+    already keyed, and is read off there. Otherwise giant steps by
+    G = (2m + 1) * P, from the multiple c of 2m + 1 with c - m <= lo <= c + m,
+    scan the disjoint windows [c - m, c + m] covering [lo, hi]; a step
+    equal to +-j * P, or to infinity, lists the one multiple of the order
+    in its window, and those in [lo, hi] are kept. Two multiples differ by
+    the order; a single one is the order of the group P lies in, which the
     caller's Hasse interval contains.
+    The chord additions by P and by G are written out here; `_add` does
+    the doublings and the other steps with equal x.
     """
     m = isqrt((hi - lo) // 2) + 1
     baby: dict[int, tuple[int, int]] = {}
-    Q = P
+    px, py = Q = P
     for j in range(1, m + 2):
         if Q is None:
             return j
-        if Q[0] in baby:
+        x, y = Q
+        if x in baby:
             # the first repeated x: j * P = -i * P with i < j, so the order is i + j
-            return j + baby[Q[0]][0]
+            return j + baby[x][0]
         if j > m:
             break
-        baby[Q[0]] = (j, Q[1])
-        mP, Q = Q, _add(Q, P, a, p)
-    step, c = 2 * m + 1, lo + m
-    G, R = _add(mP, Q, a, p), _mul(c, P, a, p)
+        baby[x] = (j, y)
+        mP = Q
+        if x == px:
+            Q = _add(Q, P, a, p)
+        else:
+            lam = (y - py) * pow(x - px, -1, p) % p
+            x3 = (lam * lam - x - px) % p
+            Q = x3, (lam * (x - x3) - y) % p
+    step = 2 * m + 1
+    c = (lo + m) // step * step
+    G = _add(mP, Q, a, p)
+    gx, gy = G
+    R = _mul(c // step, G, a, p)
     hits = []
     while c - m <= hi:
         if R is None:
             hits.append(c)
-        elif R[0] in baby:
-            j, y = baby[R[0]]
-            hits.append(c - j if R[1] == y else c + j)
-        R, c = _add(R, G, a, p), c + step
-    hits = [n for n in hits if n <= hi]
+        else:
+            x, y = R
+            if x in baby:
+                j, yj = baby[x]
+                hits.append(c - j if y == yj else c + j)
+        if R is None or x == gx:
+            R = _add(R, G, a, p)
+        else:
+            lam = (y - gy) * pow(x - gx, -1, p) % p
+            x3 = (lam * lam - x - gx) % p
+            R = x3, (lam * (x - x3) - y) % p
+        c += step
+    hits = [n for n in hits if lo <= n <= hi]
     if not hits:
         raise ConsistencyError(f"no multiple of a point's order in [{lo}, {hi}] at p = {p}")
     return hits[1] - hits[0] if len(hits) > 1 else hits[0]

@@ -134,15 +134,16 @@ def sl2_elements() -> list[Mat]:
 
 
 def _closure(gens: frozenset[Mat]) -> frozenset[Mat]:
-    elems = set(gens) | {IDENTITY}
-    frontier = list(elems)
-    while frontier:
-        g = frontier.pop()
-        for h in list(elems):
-            for prod in (mul(g, h), mul(h, g)):
-                if prod not in elems:
-                    elems.add(prod)
-                    frontier.append(prod)
+    """The subgroup gens generate, as words in gens breadth-first from the
+    identity; in a finite group every inverse is a power of its element."""
+    elems = {IDENTITY}
+    frontier = [IDENTITY]
+    for g in frontier:  # the list grows as it is read
+        for h in gens:
+            prod = mul(g, h)
+            if prod not in elems:
+                elems.add(prod)
+                frontier.append(prod)
     return frozenset(elems)
 
 

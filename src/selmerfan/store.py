@@ -16,12 +16,14 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from .curves import CurveQ, PrimeClassRecord, classify_primes, good_primes
 from .errors import DataError
 
 _RECORD_FIELDS = tuple(f.name for f in fields(PrimeClassRecord))
+# the options of the canonical line; one encoder serves every record
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def read_curves_csv(path: str) -> list[CurveQ]:
@@ -43,6 +45,9 @@ def read_curves_csv(path: str) -> list[CurveQ]:
             label, a_text, b_text = parts
             if not label:
                 raise DataError(f"{path}:{lineno}: empty label")
+            if label in (".", "..") or any(ch in label for ch in ("/", os.sep, "\0")):
+                # the label names the cache files, which must stay in the cache directory
+                raise DataError(f"{path}:{lineno}: label {label!r} is not a plain file name")
             if label in seen:
                 raise DataError(f"{path}:{lineno}: duplicate label {label!r}")
             try:
@@ -56,7 +61,7 @@ def read_curves_csv(path: str) -> list[CurveQ]:
 
 def record_to_line(record: PrimeClassRecord) -> str:
     """Canonical one-line JSON form; stable across runs and platforms."""
-    return json.dumps(asdict(record), sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(vars(record)) + "\n"
 
 
 def line_to_record(line: str) -> PrimeClassRecord:

@@ -305,6 +305,14 @@ class TestReportDeterminism:
         assert captured.out == ""
         assert "data error" in captured.err
 
+    def test_label_outside_the_cache_dir_is_3_and_writes_nothing(self, tmp_path, capsys, cache_dir):
+        curves = tmp_path / "escape.csv"
+        curves.write_text("../escaped,1,1\n")
+        argv = ["--curve-file", str(curves), "--label", "../escaped", "--max-prime", "200"]
+        assert main(["classify"] + argv) == 3
+        assert "not a plain file name" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["escape.csv"]
+
     def test_torn_last_cache_line_is_replaced(self, tmp_path, capsys, curve_file, cache_dir):
         argv = ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "300"]
         cache_file = os.path.join(cache_dir, "fix.jsonl")

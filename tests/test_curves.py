@@ -363,6 +363,38 @@ class TestPointOrder:
                     seen.add("one multiple" if len(multiples) == 1 else "several multiples")
         assert seen == {2, 3, "at most 2m + 1", "one multiple", "several multiples"}
 
+    def test_multiples_below_the_interval_are_never_returned(self):
+        # the giant steps start at the multiple c of 2m + 1 whose window
+        # [c - m, c + m] covers lo, so the part [c - m, lo) of that window
+        # lies below the Hasse interval; a multiple of the order there is a
+        # hit the scan must drop
+        lone = 0
+        for (a, b), p in itertools.product([(1, 1), (2, 3), (0, 1), (1, 0), (-3, 18)],
+                                           [p for p in primes_upto(300) if p > 229]):
+            if CurveQ(a, b).discriminant % p == 0:
+                continue
+            w = isqrt(4 * p)
+            lo, hi = p + 1 - w, p + 1 + w
+            m = isqrt((hi - lo) // 2) + 1
+            c = (lo + m) // (2 * m + 1) * (2 * m + 1)
+            for x in range(40):
+                f = (x**3 + a * x + b) % p
+                ys = [y for y in range(p) if y * y % p == f]
+                if not ys:
+                    continue
+                P = (x, ys[0])
+                order = brute_order(P, a % p, p)
+                below = [n for n in range(c - m, lo) if n % order == 0]
+                if order <= 2 * m + 1 or not below:
+                    continue
+                multiples = [n for n in range(lo, hi + 1) if n % order == 0]
+                got = curves._point_order(P, a % p, p, lo, hi)
+                assert got not in below, (a, b, p, P)
+                assert got == (order if len(multiples) > 1 else multiples[0]), (a, b, p, P)
+                # with one multiple inside, keeping the one below would return the order
+                lone += len(multiples) == 1
+        assert lone > 0
+
 
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.sampled_from([p for p in primes_upto(1000) if p > 229]))

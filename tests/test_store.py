@@ -1,5 +1,7 @@
 """CSV ingestion and the append-only classification cache."""
+import dataclasses
 import fcntl
+import json
 import os
 
 import pytest
@@ -65,8 +67,37 @@ class TestCurvesCsv:
         with pytest.raises(DataError, match="empty label"):
             read_curves_csv(path)
 
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", ".", "..", "a\0b", "/abs"])
+    def test_label_that_is_not_a_file_name(self, tmp_path, label):
+        path = self.write(tmp_path, f"alpha,1,1\n{label},0,1\n")
+        with pytest.raises(DataError, match=":2: label .* is not a plain file name"):
+            read_curves_csv(path)
+
+    def test_dotted_label_is_a_file_name(self, tmp_path):
+        path = self.write(tmp_path, "a.b,1,1\n..c,0,1\n")
+        assert [c.label for c in read_curves_csv(path)] == ["a.b", "..c"]
+
+
+def asdict_line(record):
+    """The canonical line as `dataclasses.asdict` and `json.dumps` render it."""
+    return json.dumps(dataclasses.asdict(record), sort_keys=True, separators=(",", ":")) + "\n"
+
 
 class TestRecordLines:
+    def test_matches_asdict_rendering(self):
+        for label, a, b in [("fix", 1, 1), ("tw", 2, 3), ("cm", 0, -432)]:
+            curve = CurveQ(a, b, label)
+            for rec in classify_primes(curve, good_primes(curve, 3000)):
+                assert record_to_line(rec) == asdict_line(rec)
+
+    def test_escapes_labels_as_ascii(self):
+        for label in ["é", 'a"b', "a\\b", 'é"\\']:
+            rec = dataclasses.replace(classify_prime(FIX, 5), label=label)
+            line = record_to_line(rec)
+            assert line == asdict_line(rec)
+            assert line.isascii()
+            assert line_to_record(line) == rec
+
     def test_round_trip_is_byte_identical(self):
         for p in [5, 7, 13, 61]:
             rec = classify_prime(FIX, p)
