@@ -250,15 +250,16 @@ def _run_fan(config: argparse.Namespace) -> dict:
     # list the fan only when the output shows it: a report, the cubics, or the bare fan
     if config.out or config.emit_cubics or config.trials is None:
         payload["elements"] = elements = enumerate_fan(index)
-    if config.emit_cubics:
-        csv = "d,polynomial\n" + "".join(f"{e.d_value},{e.cubic_poly}\n" for e in elements)
-        _atomic_write(config.emit_cubics, csv)
-        payload["cubics_file"] = config.emit_cubics
     if config.trials is not None:
         initial = RhoE(config.rho).initial_distribution()
         emp = fan_distribution(index, records, initial, config.trials, config.seed)
         payload.update(_distribution_payload(emp))
         payload["tv_to_evolve"] = emp.tv_distance(evolve(initial, config.w))
+    # after sampling, so that a fan the sampler refuses leaves the file as it was
+    if config.emit_cubics:
+        csv = "d,polynomial\n" + "".join(f"{e.d_value},{e.cubic_poly}\n" for e in elements)
+        _atomic_write(config.emit_cubics, csv)
+        payload["cubics_file"] = config.emit_cubics
     return payload
 
 
@@ -266,8 +267,8 @@ def _parse_gram(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"gram file not found: {path}") from e
+    except OSError as e:
+        raise DataError(f"cannot read gram file {path}: {e.strerror}") from e
     except ValueError as e:
         raise DataError(f"bad gram file {path}: {e}") from e
     # JSON integers only: bool is an int subclass, and int() would read 1.5 as 1
@@ -352,12 +353,17 @@ def _atomic_write(path: str, text: str) -> None:
     An existing target that is not a regular file, such as a FIFO or a
     device, is written in place: renaming over it would replace the node.
     """
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
     target_dir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(target_dir, exist_ok=True)
+    try:
+        os.makedirs(target_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:
+        raise ConfigError(f"cannot write {path}: its parent is not a directory") from e
     fd, tmp = tempfile.mkstemp(dir=target_dir, prefix=".tmp-report-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -11,14 +11,16 @@ Trace a_p and determinant p mod 3 pick the class, except where a scalar
 and a unipotent class both fit; one test, whether the discriminant is a
 cube mod p, tells those two apart. Nothing here enumerates GL2(F3): the
 class, both torsion dimensions and the predicted densities are read off
-`gl2f3.conjugacy_classes()`. Point counting is a quadratic character sum
-for p <= 229 and Shanks-Mestre baby-step giant-step above it, with
-O(p^(1/4)) group operations per point; p is capped at 10^6.
+`gl2f3.conjugacy_classes()`. Point counting is Shanks-Mestre baby-step
+giant-step for every p, with O(p^(1/4)) group operations per point and
+the quadratic character sum it gathers on the way as its exact fallback;
+p is capped at 10^6.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, isqrt, lcm
 from multiprocessing import Pool
 
@@ -30,9 +32,6 @@ from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim_density
 MAX_PRIME = 10**6
 # pi(MAX_PRIME): no curve's prime stream is longer
 MAX_STREAM = 78_498
-# above this, E or its quadratic twist has a point whose order has exactly one
-# multiple in the Hasse interval (Mestre's theorem, with Schoof's bound)
-MESTRE_BOUND = 229
 
 
 class ReductionError(ConfigError):
@@ -108,32 +107,14 @@ def _check_prime(curve: CurveQ, p: int) -> None:
 
 
 def ap(curve: CurveQ, p: int) -> int:
-    """Frobenius trace a_p = p + 1 - #E(F_p).
+    """Frobenius trace a_p = p + 1 - #E(F_p), with #E(F_p) from `_mestre_count`.
 
-    For p <= 229 this is the quadratic character sum over x. Above it,
-    #E(F_p) comes from Shanks-Mestre baby-step giant-step: one scan of
-    the whole Hasse interval per point, on E or on its quadratic twist,
-    gives the point's order, or its group's order where the interval
-    holds one multiple only, until the interval holds exactly one N that
-    is a multiple of every value found on E with 2p + 2 - N a multiple of
-    every value found on the twist. Mestre's theorem guarantees that for
-    p > 229.
     The points are taken at x = 0, 1, 2, ... in turn, not drawn at
     random, so the work done, like the result, depends only on the curve
     and p: there is no seed.
     """
     _check_prime(curve, p)
-    A, B = curve.A % p, curve.B % p
-    if p > MESTRE_BOUND:
-        a = p + 1 - _mestre_count(A, B, p)
-    else:
-        xs = np.arange(p, dtype=np.int64)
-        x2 = xs * xs % p
-        f = (x2 * xs + A * xs + B) % p
-        squares = np.zeros(p, dtype=np.int8)
-        squares[x2] = 1
-        chi = np.where(f == 0, 0, np.where(squares[f] == 1, 1, -1))
-        a = -int(chi.sum())
+    a = p + 1 - _mestre_count(curve.A % p, curve.B % p, p)
     if a * a > 4 * p:
         raise ConsistencyError(f"Hasse bound violated at p = {p}: a_p = {a}")
     return a
@@ -230,19 +211,23 @@ def _point_order(P: tuple[int, int], a: int, p: int, lo: int, hi: int) -> int:
 
 
 def _mestre_count(A: int, B: int, p: int) -> int:
-    """#E(F_p) for E: y^2 = x^3 + Ax + B and p > 229, by Shanks-Mestre.
+    """#E(F_p) for E: y^2 = x^3 + Ax + B and p > 3, by Shanks-Mestre.
 
     At each x with d = f(x) != 0, the point (dx, d^2) lies on
     Y^2 = X^3 + Ad^2 X + Bd^3, which is E when d is a square and its
-    quadratic twist when it is not, so no square root is taken. The lcms
-    of the values `_point_order` returns divide #E and 2p + 2 - #E; the
-    candidates in the Hasse interval are one residue class, by the Chinese
-    remainder theorem, and the walk stops when that class meets the
-    interval once.
+    quadratic twist when it is not, so no square root is taken. One scan
+    of the whole Hasse interval per point gives the point's order, or its
+    group's order where the interval holds one multiple only. The lcms of
+    those values divide #E and 2p + 2 - #E; the candidates in the Hasse
+    interval are one residue class, by the Chinese remainder theorem, and
+    the walk stops when that class meets the interval once. For p > 229
+    it always does (Mestre's theorem, with Schoof's bound). If x runs out
+    first, the quadratic characters of every f(x), +1 on E and -1 on the
+    twist, have been summed on the way, and #E = p + 1 + that sum exactly.
     """
     w = isqrt(4 * p)
     lo, hi = p + 1 - w, p + 1 + w
-    lcm_e, lcm_twist = 1, 1
+    lcm_e, lcm_twist, chi = 1, 1, 0
     for x in range(p):
         d = (x * x * x + A * x + B) % p
         if d == 0:
@@ -250,8 +235,10 @@ def _mestre_count(A: int, B: int, p: int) -> int:
         order = _point_order((d * x % p, d * d % p), A * d * d % p, p, lo, hi)
         if pow(d, (p - 1) // 2, p) == 1:
             lcm_e = lcm(lcm_e, order)
+            chi += 1
         else:
             lcm_twist = lcm(lcm_twist, order)
+            chi -= 1
         # #E = 0 mod lcm_e and #E = 2p + 2 mod lcm_twist
         g = gcd(lcm_e, lcm_twist)
         modulus = lcm_e * (lcm_twist // g)
@@ -263,7 +250,7 @@ def _mestre_count(A: int, B: int, p: int) -> int:
             raise ConsistencyError(f"no group order in the Hasse interval fits at p = {p}")
         if first + modulus > hi:
             return first
-    raise ConsistencyError(f"no point fixes #E in the Hasse interval at p = {p}")
+    return p + 1 + chi
 
 
 def _frobenius_class(curve: CurveQ, p: int, ap_value: int) -> ConjClass:
@@ -334,19 +321,14 @@ def frobenius_class(curve: CurveQ, p: int) -> ConjClass:
     return _frobenius_class(curve, p, ap(curve, p))
 
 
-def _classify_worker(args):
-    A, B, label, p = args
-    return classify_prime(CurveQ(A, B, label), p)
-
-
 def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeClassRecord]:
     """Records for the given primes, in order; at most one worker per prime and per usable CPU."""
     workers = min(jobs, len(ps), len(os.sched_getaffinity(0)))
+    classify = partial(classify_prime, curve)
     if workers <= 1:
-        return [classify_prime(curve, p) for p in ps]
-    tasks = [(curve.A, curve.B, curve.label, p) for p in ps]
+        return list(map(classify, ps))
     with Pool(workers) as pool:
-        return pool.map(_classify_worker, tasks, chunksize=64)
+        return pool.map(classify, ps, chunksize=64)
 
 
 def good_primes(curve: CurveQ, max_prime: int) -> list[int]:

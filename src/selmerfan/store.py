@@ -19,7 +19,7 @@ import os
 from dataclasses import fields
 
 from .curves import CurveQ, PrimeClassRecord, classify_primes, good_primes
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _RECORD_FIELDS = tuple(f.name for f in fields(PrimeClassRecord))
 # the options of the canonical line; one encoder serves every record
@@ -28,34 +28,36 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def read_curves_csv(path: str) -> list[CurveQ]:
     """Parse a `label,A,B` file; comments with # and blank lines allowed."""
-    if not os.path.exists(path):
-        raise DataError(f"curve file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read curve file {path}: {e}") from e
     curves: list[CurveQ] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "label,a,b":
-                continue
-            parts = [t.strip() for t in line.split(",")]
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected label,A,B")
-            label, a_text, b_text = parts
-            if not label:
-                raise DataError(f"{path}:{lineno}: empty label")
-            if label in (".", "..") or any(ch in label for ch in ("/", os.sep, "\0")):
-                # the label names the cache files, which must stay in the cache directory
-                raise DataError(f"{path}:{lineno}: label {label!r} is not a plain file name")
-            if label in seen:
-                raise DataError(f"{path}:{lineno}: duplicate label {label!r}")
-            try:
-                curve = CurveQ(int(a_text), int(b_text), label)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            seen.add(label)
-            curves.append(curve)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if lineno == 1 and line.lower().replace(" ", "") == "label,a,b":
+            continue
+        parts = [t.strip() for t in line.split(",")]
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected label,A,B")
+        label, a_text, b_text = parts
+        if not label:
+            raise DataError(f"{path}:{lineno}: empty label")
+        if label in (".", "..") or any(ch in label for ch in ("/", os.sep, "\0")):
+            # the label names the cache files, which must stay in the cache directory
+            raise DataError(f"{path}:{lineno}: label {label!r} is not a plain file name")
+        if label in seen:
+            raise DataError(f"{path}:{lineno}: duplicate label {label!r}")
+        try:
+            curve = CurveQ(int(a_text), int(b_text), label)
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from e
+        seen.add(label)
+        curves.append(curve)
     return curves
 
 
@@ -93,8 +95,11 @@ def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
     """All cached records keyed by (label, p); missing file is empty."""
     if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return _records_in(fh)
+    try:
+        with open(path, encoding="ascii") as fh:
+            return _records_in(fh)
+    except UnicodeDecodeError as e:
+        raise DataError(f"cache {path} has a non-ASCII byte; canonical lines are ASCII") from e
 
 
 def append_records(path: str, records: list[PrimeClassRecord]) -> int:
@@ -110,7 +115,10 @@ def append_records(path: str, records: list[PrimeClassRecord]) -> int:
         fcntl.flock(fh, fcntl.LOCK_EX)
         fh.seek(0)
         data = fh.read()
-        existing = _records_in(io.StringIO(data.decode("utf-8"), newline=None))
+        try:
+            existing = _records_in(io.StringIO(data.decode("ascii"), newline=None))
+        except UnicodeDecodeError as e:
+            raise DataError(f"cache {path} has a non-ASCII byte; canonical lines are ASCII") from e
         fresh = [r for r in records if (r.label, r.p) not in existing]
         if fresh:
             if not data.endswith(b"\n"):  # drop the fragment of a torn append
@@ -141,7 +149,10 @@ def _check_curve_stamp(curve: CurveQ, path: str) -> None:
         if found != stamp:
             raise DataError(f"cache {path} is for curve {found.strip()}, not {stamp.strip()}")
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:
+        raise ConfigError(f"cache directory {os.path.dirname(path)} is not a directory") from e
     with open(stamp_path, "w", encoding="utf-8") as fh:
         fh.write(stamp)
 

@@ -380,6 +380,79 @@ class TestReportDeterminism:
         assert json.loads(data)["meta"]["command"] == "tailbound"
 
 
+class TestUnreadableInputs:
+    """An input that cannot be read is a data error (exit 3) that names the path."""
+
+    def check(self, argv, path, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_curve_file_that_is_a_directory(self, tmp_path, capsys, cache_dir):
+        argv = ["classify", "--curve-file", str(tmp_path), "--label", "fix", "--max-prime", "200"]
+        self.check(argv, tmp_path, capsys)
+
+    def test_curve_file_that_is_not_utf8(self, tmp_path, capsys, cache_dir):
+        curves = tmp_path / "curves.csv"
+        curves.write_bytes(b"label,A,B\nfix,1,1\nbad\xff,0,1\n")
+        argv = ["classify", "--curve-file", str(curves), "--label", "fix", "--max-prime", "200"]
+        self.check(argv, curves, capsys)
+
+    def test_gram_file_that_is_a_directory(self, tmp_path, capsys):
+        self.check(["lagrangians", "--dim", "2", "--gram", str(tmp_path)], tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["densities", "--max-prime", "200"],
+        ["fan", "--m", "2", "--w", "2", "--X", "40", "--growth", "pow:1"],
+    ], ids=["densities", "fan"])
+    def test_cache_with_a_non_ascii_byte(self, command, capsys, curve_file, cache_dir):
+        assert main(["classify", "--curve-file", curve_file, "--label", "fix",
+                     "--max-prime", "200"]) == 0
+        cache_file = os.path.join(cache_dir, "fix.jsonl")
+        with open(cache_file, "ab") as fh:
+            fh.write(b"\xff")
+        argv = [command[0], "--curve-file", curve_file, "--label", "fix", *command[1:]]
+        self.check(argv, cache_file, capsys)
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is a configuration error (exit 2) naming it."""
+
+    def check(self, argv, path, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_out_that_is_a_directory(self, tmp_path, capsys):
+        self.check(["tailbound", "--s", "6", "--out", str(tmp_path)], tmp_path, capsys)
+        assert os.listdir(tmp_path) == []
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("kept\n")
+        out = parent / "r.json"
+        self.check(["tailbound", "--s", "6", "--out", str(out)], out, capsys)
+        assert parent.read_text() == "kept\n"
+
+    def test_cubics_to_a_directory(self, tmp_path, capsys, curve_file, cache_dir):
+        target = tmp_path / "cubics"
+        target.mkdir()
+        argv = ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "1",
+                "--X", "14", "--growth", "pow:1", "--emit-cubics", str(target)]
+        self.check(argv, target, capsys)
+        assert os.listdir(target) == []
+
+    def test_cache_dir_that_is_a_regular_file(self, tmp_path, capsys, curve_file, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.write_text("kept\n")
+        monkeypatch.setenv("SELMERFAN_CACHE_DIR", str(cache))
+        argv = ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "200"]
+        self.check(argv, cache, capsys)
+        assert cache.read_text() == "kept\n"
+
+
 class TestRunApi:
     def test_run_returns_report(self):
         report = run(parse_args(["tailbound", "--s", "8"]))
@@ -504,6 +577,31 @@ class TestFanCommand:
         )
         assert rc == 2
         assert "empty fan" in capsys.readouterr().err
+
+    # a fan the sampler refuses, as a DataError (m >= 4) or a ConfigError (m <= 3)
+    @pytest.mark.parametrize("flags,code", [(["--m", "4", "--X", "5"], 3),
+                                            (["--m", "2", "--X", "3"], 2)],
+                             ids=["large", "small"])
+    def test_refused_fan_leaves_the_cubics_file(
+        self, flags, code, tmp_path, capsys, curve_file, cache_dir
+    ):
+        cubics = tmp_path / "cub.csv"
+        cubics.write_bytes(b"d,polynomial\n-23,x^3 - x - 1\n")
+        argv = ["fan", "--curve-file", curve_file, "--label", "fix", *flags, "--w", "2",
+                "--growth", "pow:1", "--trials", "4", "--seed", "7", "--emit-cubics", str(cubics)]
+        assert main(argv) == code
+        assert "empty fan" in capsys.readouterr().err
+        assert cubics.read_bytes() == b"d,polynomial\n-23,x^3 - x - 1\n"
+
+    def test_empty_fan_without_trials_writes_the_bare_header(
+        self, tmp_path, capsys, curve_file, cache_dir
+    ):
+        cubics = tmp_path / "cub.csv"
+        cubics.write_bytes(b"d,polynomial\n-23,x^3 - x - 1\n")
+        argv = ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "2",
+                "--X", "3", "--growth", "pow:1", "--emit-cubics", str(cubics)]
+        assert main(argv) == 0
+        assert cubics.read_bytes() == b"d,polynomial\n"
 
     @pytest.fixture
     def no_proposals(self, monkeypatch):

@@ -29,7 +29,7 @@ from selmerfan.curves import (
     primes_upto,
 )
 from selmerfan import curves
-from selmerfan.errors import ConfigError, ConsistencyError
+from selmerfan.errors import ConfigError
 
 FIX = CurveQ(1, 1, "fix")
 
@@ -286,7 +286,7 @@ SIX_CURVES = [(1, 1), (2, 3), (0, -432), (-3, 18), (0, 1), (1, 0)]
 
 
 class TestBabyStepGiantStep:
-    """a_p above the 229 cutoff comes from Shanks-Mestre, checked against a character sum."""
+    """a_p comes from Shanks-Mestre at every p, checked against a character sum."""
 
     @pytest.mark.parametrize("a,b", SIX_CURVES)
     def test_matches_character_sum_to_5000(self, a, b):
@@ -308,21 +308,28 @@ class TestBabyStepGiantStep:
         curve = CurveQ(a, b)
         assert {p: ap(curve, p) for p in pins} == pins
 
-    def test_below_the_cutoff_never_a_wrong_count(self, monkeypatch):
-        # at small p a point order can leave several counts in the Hasse
-        # interval on both curves; the walk must then raise, not guess
-        monkeypatch.setattr(curves, "MESTRE_BOUND", 3)
-        ambiguous = set()
+    def test_every_small_prime_matches_the_character_sum(self):
+        # at small p the point orders can leave several counts in the Hasse
+        # interval on both curves; the walk then runs out of x and must
+        # return the character sum it gathered, never raise or guess
         for a, b in itertools.product(range(-6, 7), repeat=2):
             if 4 * a**3 + 27 * b**2 == 0:
                 continue
             curve = CurveQ(a, b)
             for p in good_primes(curve, 229):
-                try:
-                    assert ap(curve, p) == legendre_ap(a, b, p), (a, b, p)
-                except ConsistencyError:
-                    ambiguous.add(p)
-        assert ambiguous and max(ambiguous) == 29
+                assert ap(curve, p) == legendre_ap(a, b, p), (a, b, p)
+
+    @pytest.mark.parametrize("a,b,p,a_p", [(1, 0, 29, 10), (-6, 0, 29, 10), (0, 1, 7, -4),
+                                           (1, 0, 5, 2)])
+    def test_running_out_of_x_gives_the_character_sum(self, a, b, p, a_p, monkeypatch):
+        # no residue class is pinned before the last x here, so the count is
+        # the fallback: every x with f(x) != 0 gets one point order
+        calls = []
+        point_order = curves._point_order
+        monkeypatch.setattr(curves, "_point_order",
+                            lambda *args: calls.append(args) or point_order(*args))
+        assert ap(CurveQ(a, b), p) == a_p == legendre_ap(a, b, p)
+        assert len(calls) == sum(1 for x in range(p) if (x**3 + a * x + b) % p)
 
 
 class TestPointOrder:
@@ -345,7 +352,7 @@ class TestPointOrder:
     def test_matches_repeated_addition(self):
         seen = set()
         for (a, b), p in itertools.product([(1, 1), (2, 3), (0, 1), (1, 0), (-3, 18)],
-                                           [233, 499, 997, 1999]):
+                                           [5, 7, 11, 29, 101, 229, 233, 499, 997, 1999]):
             if CurveQ(a, b).discriminant % p == 0:
                 continue
             w = isqrt(4 * p)
@@ -397,7 +404,7 @@ class TestPointOrder:
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50),
-       st.sampled_from([p for p in primes_upto(1000) if p > 229]))
+       st.sampled_from([p for p in primes_upto(1000) if p > 3]))
 @settings(max_examples=80, deadline=None)
 def test_random_curves_match_legendre_count(A, B, p):
     if 4 * A**3 + 27 * B**2 == 0:

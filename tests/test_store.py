@@ -152,6 +152,19 @@ class TestCache:
         assert append_records(path, recs) == len(recs) - 3
         assert open(path).read() == "".join(record_to_line(r) for r in recs)
 
+    def test_non_ascii_byte_is_corruption(self, tmp_path):
+        # canonical lines escape every non-ASCII character, so even valid UTF-8 is refused
+        path = cache_path(str(tmp_path), "fix")
+        recs = classify_primes(FIX, good_primes(FIX, 200))
+        append_records(path, recs[:3])
+        with open(path, "ab") as fh:
+            fh.write("é".encode())
+        before = open(path, "rb").read()
+        for read in (lambda: load_records(path), lambda: append_records(path, recs)):
+            with pytest.raises(DataError, match="non-ASCII"):
+                read()
+        assert open(path, "rb").read() == before
+
     def test_missing_cache_is_empty(self, tmp_path):
         assert load_records(str(tmp_path / "none.jsonl")) == {}
         assert cache_checksum(str(tmp_path / "none.jsonl")) is None
