@@ -570,6 +570,22 @@ class TestFanCommand:
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         assert digest == "b48b9f80a9241484318ef6629bc28a693f6a208abb7e288a8e27cc11fd35350d"
 
+    # recorded while every element replayed through its own simulate_chain call; the
+    # elements span 8 (m = 2) and 96 (m = 4) streams of prime kinds, with two allocations each
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [(["--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1", "--trials", "1000",
+           "--seed", "3", "--rho", "0.5"],
+          "a3d9d2d6c642a036c2adafd88c2290543d385042e5388a37830d88dea758c24b"),
+         (["--m", "4", "--w", "2", "--X", "3", "--growth", "affine:0,30", "--trials", "2000",
+           "--seed", "5"],
+          "4d18f2a84489bab28f9f2717e1e551568d1fa06c8edc2cda6b1ac903d8b3b4d3")],
+        ids=["m2-w1", "m4-w2"],
+    )
+    def test_law_stdout_is_pinned(self, flags, digest, capsys, curve_file, cache_dir):
+        assert main(["fan", "--curve-file", curve_file, "--label", "fix", *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_empty_fan_is_2(self, capsys, curve_file, cache_dir):
         rc = main(
             ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "2",
