@@ -12,6 +12,7 @@ tables and even rank deltas, one reproducible substream per trial.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,40 +282,56 @@ def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray,
 
 
 class _Substreams:
-    """Uniforms of every trial's Philox substream under one seed, from any column on.
+    """Uniforms of the Philox substreams of rows keyed by (seed, trial), from any column on.
 
-    Trial t draws from Generator(Philox(SeedSequence(entropy=seed, spawn_key=(t,)))).
-    Philox is counter-based: uniform n of a trial is word n % 4 of the block
-    at counter n // 4 + 1 under the trial's key. So one bit generator,
-    reseated through its public state with a trial's key and a start counter,
-    draws any column range of any trial with the bytes of a fresh generator.
-    Trial indices must be below 2^32.
+    The rows run through the seeds in order, trials 0..trials[k]-1 of
+    seeds[k], and the row of (seed, t) draws from
+    Generator(Philox(SeedSequence(entropy=seed, spawn_key=(t,)))). Philox is
+    counter-based: uniform n of a row is word n % 4 of the block at counter
+    n // 4 + 1 under the row's key. So one bit generator, reseated through
+    its public state with a row's key and a start counter, draws any column
+    range of any row with the bytes of a fresh generator. Trial indices must
+    be below 2^32.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seeds: list[int], trials: list[int]):
+        self._ends = np.cumsum(trials, dtype=np.int64)
+        self._starts = self._ends - trials
         # a spawned SeedSequence pads the seed to its 4 pool words, so the pool before the
-        # spawn word is SeedSequence(entropy=seed).pool for every trial: read it once
-        words = max(1, -(-int(seed).bit_length() // 32))
-        self._hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
-        self._pool = np.random.SeedSequence(entropy=seed).pool.astype(np.uint64)
+        # spawn word is SeedSequence(entropy=seed).pool for every trial: read it once a seed
+        words = [max(1, -(-int(seed).bit_length() // 32)) for seed in seeds]
+        self._hash_const = np.array(
+            [_INIT_A * pow(_MULT_A, 16 + 4 * max(0, n - 4), 2**32) & _MASK32 for n in words],
+            dtype=np.uint64,
+        )
+        self._pool = np.array(
+            [np.random.SeedSequence(entropy=seed).pool for seed in seeds], dtype=np.uint64
+        ).T
         self._bit_generator = np.random.Philox(key=0)
         self._generator = np.random.Generator(self._bit_generator)
         # numpy's own layout of a fresh state, whose spent buffer makes the next draw compute
-        # the block after the counter; draws overwrite only its key and counter
+        # the block after the counter; draws overwrite only its key and counter. Lists, not
+        # arrays, since the state setter reads them item by item on every reseat
         self._state = self._bit_generator.state
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._counter = self._state["state"]["counter"].tolist()
 
-    def keys(self, trials: range) -> np.ndarray:
-        """The Philox key of SeedSequence(entropy=seed, spawn_key=(trial,)) for each trial.
+    def seats(self, rows: range) -> np.ndarray:
+        """The index into the seeds of each row."""
+        return np.searchsorted(self._ends, np.arange(rows.start, rows.stop), side="right")
 
-        Each trial's one 32-bit spawn word is mixed into the 4 pool words, and
-        the pool is hashed out as generate_state(2, uint64), for all the
-        trials at once.
+    def keys(self, rows: range) -> np.ndarray:
+        """The Philox key of SeedSequence(entropy=seed, spawn_key=(trial,)) for each row.
+
+        Each row's one 32-bit spawn word is mixed into the 4 pool words of
+        its seed, and the pool is hashed out as generate_state(2, uint64),
+        for all the rows at once.
         """
-        hash_const = self._hash_const
-        spawn = np.arange(trials.start, trials.stop, dtype=np.uint64)
+        seats = self.seats(rows)
+        spawn = (np.arange(rows.start, rows.stop) - self._starts[seats]).astype(np.uint64)
+        hash_const = self._hash_const[seats]
         state = []
-        for word in self._pool:
+        for word in self._pool[:, seats]:
             value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
             mixed = (_MIX_L * word - _MIX_R * value) & _MASK32
             state.append(mixed ^ mixed >> 16)
@@ -323,44 +340,59 @@ class _Substreams:
             state[k], hash_const = _hashmix(value, hash_const, _MULT_B)
         return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
-    def draw(self, trials: range, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Columns start..stop of the trials' rows, drawn into the top left corner of out.
+    def draw(self, rows: range, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Columns start..stop of the rows, drawn into the top left corner of out.
 
         Each row is reseated at the block that holds column start, so out
         needs start % 4 more columns than the view returned, which skips them.
         """
         lead = start % 4
-        rows = out[: len(trials), : lead + stop - start]
-        inner = self._state["state"]
+        block = out[: len(rows), : lead + stop - start]
+        state, bit_generator, random = self._state, self._bit_generator, self._generator.random
+        inner = state["state"]
         inner["counter"] = [start // 4, *self._counter[1:]]
-        for k in range(0, len(trials), _KEY_BLOCK):
-            keys = self.keys(trials[k : k + _KEY_BLOCK]).tolist()
-            for row, key in zip(rows[k : k + _KEY_BLOCK], keys):
+        for k in range(0, len(rows), _KEY_BLOCK):
+            keys = self.keys(rows[k : k + _KEY_BLOCK]).tolist()
+            for row, key in zip(block[k : k + _KEY_BLOCK], keys):
                 inner["key"] = key
-                self._bit_generator.state = self._state
-                self._generator.random(out=row)
-        return rows[:, lead:]
+                bit_generator.state = state
+                random(out=row)
+        return block[:, lead:]
 
 
-# trials keyed per vector pass: their key arrays stay small heap blocks beside a chunk,
+# rows keyed per vector pass: their key arrays stay small heap blocks beside a chunk,
 # where keys for a whole chunk moved its placement and raised walk-warm's peak 76 -> 106 MB
 _KEY_BLOCK = 4096
+
+@functools.cache
+def _thresholds() -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The walk's thresholds at s = 0..2047, by s: trace 0 of classes 1 and 2 below them,
+    and trace 2 of class 2 at or above the last.
+
+    They are read off numpy's power, as the per-step thresholds were, not
+    off _STEP_UP: Python's 3.0 ** -r differs from it by one ulp at some r.
+    x is 0.0 from r = 679 on, so a take clipped to the last entry serves
+    every larger s. They are built at the first walk, since building them at
+    import made every command's peak RSS 0.3-0.4 MB higher.
+    """
+    x = np.power(3.0, -(np.arange(2048) >> 1).astype(np.float64))
+    return {1: _cij_entry(1, 0, x), 2: _cij_entry(2, 0, x)}, 1.0 - _cij_entry(2, 2, x)
 
 
 def _walk(s: np.ndarray, elements: list[tuple[int, bool]], u: np.ndarray) -> np.ndarray:
     """Dimensions s after the elements, whose two uniforms a trial are the column pairs of u."""
+    trace0, trace2 = _thresholds()
     for idx, (i, is_split) in enumerate(elements):
         if i == 0:
             continue
         jumps = _JUMPS[i, is_split]
         ut = u[:, 2 * idx]
-        x = np.power(3.0, -(s >> 1).astype(np.float64))
-        t0 = ut < _cij_entry(i, 0, x)
+        t0 = ut < trace0[i].take(s, mode="clip")
         if i == 1:
             delta = np.where(t0, jumps[0, 0], jumps[1, 0])
         else:
             w = jumps.shape[1]  # take at the flat [trace, lift] offset, faster than a 2-D index
-            row = np.where(t0, 0, np.where(ut >= 1.0 - _cij_entry(2, 2, x), 2 * w, w))
+            row = np.where(t0, 0, np.where(ut >= trace2.take(s, mode="clip"), 2 * w, w))
             delta = jumps.take(row + (u[:, 1 + 2 * idx] * w).astype(np.int64))
         s = s + delta
         if np.any(s < 0):
@@ -376,6 +408,71 @@ _CHUNK = 2**22
 _ROW_FLOOR = 4096
 
 
+def _replay(
+    initial: Distribution, elements: list[tuple[int, bool]], seeds: list[int], trials: list[int]
+) -> np.ndarray:
+    """Every seed's trials over one stream of prime kinds, counted by final dimension.
+
+    Row k counts the trials of seeds[k] that end at s = 0..S_MAX and, last,
+    those past S_MAX. The rows of all the seeds walk together, chunked as
+    `simulate_chain` says.
+    """
+    width = 1 + 2 * len(elements)
+    total = sum(trials)
+    rows = min(total, max(_ROW_FLOOR, _CHUNK // width))
+    pairs = max(1, (_CHUNK // rows - 1) // 2)  # elements per column block
+    # a block after the first starts at an odd column, up to 3 past its reseat
+    out = np.empty((rows, min(width, 3 + 2 * pairs)))
+    streams = _Substreams(seeds, trials)
+    counts = np.zeros(len(seeds) * (S_MAX + 2), dtype=np.int64)
+    for first in range(0, total, rows):
+        chunk = range(first, min(first + rows, total))
+        u = streams.draw(chunk, 0, min(width, 1 + 2 * pairs), out)
+        s = _walk(_draw_initial(initial, u[:, 0]), elements[:pairs], u[:, 1:])
+        for e in range(pairs, len(elements), pairs):
+            block = elements[e : e + pairs]
+            s = _walk(s, block, streams.draw(chunk, 1 + 2 * e, 1 + 2 * (e + len(block)), out))
+        cells = streams.seats(chunk) * (S_MAX + 2) + np.minimum(s, S_MAX + 1)
+        counts += np.bincount(cells, minlength=len(counts))
+    return counts.reshape(len(seeds), S_MAX + 2)
+
+
+def simulate_streams(
+    initial: Distribution, prime_streams, trials: list[int], seeds: list[int]
+) -> list[Distribution]:
+    """The law `simulate_chain` gives each (stream, trials, seed), for many streams at once.
+
+    Streams of the same prime kinds replay in one call, their trials
+    keyed by (seed, trial), so each law has the bytes of its own
+    `simulate_chain` call. The laws are built in stream order, and a stream
+    whose every trial overflows S_MAX raises a ConsistencyError. It holds
+    S_MAX + 2 counts and a law per stream, so many streams go in windows.
+    """
+    if min(trials) < 1:
+        raise ConfigError(f"trials must be positive, got {min(trials)}")
+    if max(trials) > MAX_TRIALS:
+        raise ConfigError(
+            f"trials must be at most 2^32, one 32-bit spawn word each, got {max(trials)}"
+        )
+    groups: dict[tuple[tuple[int, bool], ...], list[int]] = {}
+    for k, stream in enumerate(prime_streams):
+        groups.setdefault(tuple(_stream_element(e) for e in stream), []).append(k)
+    counts = {}
+    for elements, members in groups.items():
+        replayed = _replay(initial, list(elements), [seeds[k] for k in members],
+                           [trials[k] for k in members])
+        counts.update(zip(members, replayed))
+    laws = []
+    for k, n in enumerate(trials):
+        row = counts[k]
+        n_kept = n - int(row[S_MAX + 1])
+        if n_kept == 0:
+            raise ConsistencyError("every trial overflowed the support bound")
+        mass = {v: int(c) / n_kept for v, c in enumerate(row[: S_MAX + 1]) if c}
+        laws.append(Distribution(mass, truncation_error=(n - n_kept) / n))
+    return laws
+
+
 def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
     """Monte Carlo replay of a prime stream, one substream per trial.
 
@@ -385,33 +482,7 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     chunks of min(trials, max(4096, 2^22 // width)) rows, a long stream in
     column blocks of about 2^22 uniforms, all drawn into one buffer, and
     only final dimensions are counted. So peak memory is one block: at most
-    2^22 doubles (32 MiB) and three per row, whatever the number of trials
-    or the length of the stream.
+    2^22 doubles (32 MiB) and a few per row, whatever the number of trials
+    or the length of the stream. It is `simulate_streams` of one stream.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ConfigError(f"trials must be at most 2^32, one 32-bit spawn word each, got {trials}")
-    elements = [_stream_element(e) for e in prime_stream]
-    width = 1 + 2 * len(elements)
-    rows = min(trials, max(_ROW_FLOOR, _CHUNK // width))
-    pairs = max(1, (_CHUNK // rows - 1) // 2)  # elements per column block
-    # a block after the first starts at an odd column, up to 3 past its reseat
-    out = np.empty((rows, min(width, 3 + 2 * pairs)))
-    streams = _Substreams(seed)
-    counts = np.zeros(S_MAX + 1, dtype=np.int64)
-    n_kept = 0
-    for first in range(0, trials, rows):
-        chunk = range(first, min(first + rows, trials))
-        u = streams.draw(chunk, 0, min(width, 1 + 2 * pairs), out)
-        s = _walk(_draw_initial(initial, u[:, 0]), elements[:pairs], u[:, 1:])
-        for e in range(pairs, len(elements), pairs):
-            block = elements[e : e + pairs]
-            s = _walk(s, block, streams.draw(chunk, 1 + 2 * e, 1 + 2 * (e + len(block)), out))
-        kept = s[s <= S_MAX]
-        counts += np.bincount(kept, minlength=S_MAX + 1)
-        n_kept += len(kept)
-    if n_kept == 0:
-        raise ConsistencyError("every trial overflowed the support bound")
-    mass = {v: int(c) / n_kept for v, c in enumerate(counts) if c}
-    return Distribution(mass, truncation_error=(trials - n_kept) / trials)
+    return simulate_streams(initial, [prime_stream], [trials], [seed])[0]

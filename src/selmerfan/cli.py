@@ -347,14 +347,24 @@ def run(config: argparse.Namespace) -> Report:
     return Report(meta=meta, payload=payload)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that is a directory or lies under something that is not one."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.isdir(parent):
+        if os.path.lexists(parent):
+            raise ConfigError(f"cannot write {path}: its parent is not a directory")
+        parent = os.path.dirname(parent)
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temp file and rename, so readers never see a partial file.
 
     An existing target that is not a regular file, such as a FIFO or a
     device, is written in place: renaming over it would replace the node.
     """
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
+    _check_output(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -477,8 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The run config: the parsed flags plus the cache directory."""
+    """The run config: the parsed flags plus the cache directory.
+
+    Output paths are checked here, so that one that cannot be written is
+    refused before any work.
+    """
     config = build_parser().parse_args(argv)
+    for path in (config.out, getattr(config, "emit_cubics", None)):
+        if path:
+            _check_output(path)
     config.cache_dir = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     return config
 

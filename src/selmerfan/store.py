@@ -100,6 +100,8 @@ def load_records(path: str) -> dict[tuple[str, int], PrimeClassRecord]:
             return _records_in(fh)
     except UnicodeDecodeError as e:
         raise DataError(f"cache {path} has a non-ASCII byte; canonical lines are ASCII") from e
+    except OSError as e:
+        raise DataError(f"cannot read cache {path}: {e}") from e
 
 
 def append_records(path: str, records: list[PrimeClassRecord]) -> int:
@@ -144,8 +146,11 @@ def _check_curve_stamp(curve: CurveQ, path: str) -> None:
     stamp_path = os.path.splitext(path)[0] + ".curve"
     stamp = f"{curve.A},{curve.B}\n"
     if os.path.exists(stamp_path):
-        with open(stamp_path, encoding="utf-8") as fh:
-            found = fh.read()
+        try:
+            with open(stamp_path, encoding="utf-8") as fh:
+                found = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise DataError(f"cannot read cache stamp {stamp_path}: {e}") from e
         if found != stamp:
             raise DataError(f"cache {path} is for curve {found.strip()}, not {stamp.strip()}")
         return

@@ -64,6 +64,9 @@ def test_cli_calls_fire_every_counter(tracing, tmp_path, monkeypatch, capsys):
         # `fan --trials` draws by count and lists nothing; listing the fan
         # keeps the enumerate_fan counter hook bound and run
         ["fan", *curve, "--m", "2", "--w", "1", "--X", "14", "--growth", "pow:1"],
+        # a fan replays its elements through simulate_streams, so `simulate`
+        # keeps the simulate_chain counter hook bound and run
+        ["simulate", "--synthetic", "2x1s", "--trials", "20", "--seed", "1"],
         ["lagrangians", "--dim", "4", "--blocks", "2"],
         ["gl2f3-report"],
     ]

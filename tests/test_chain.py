@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from selmerfan import chain
 from selmerfan.chain import (
+    MAX_TRIALS,
     S_MAX,
     Distribution,
     RhoE,
+    _cij_entry,
     _draw_initial,
     _stream_element,
     _Substreams,
@@ -24,6 +26,7 @@ from selmerfan.chain import (
     rank_delta_split,
     rho,
     simulate_chain,
+    simulate_streams,
     stationary,
     tail_bound,
     tail_constant,
@@ -466,7 +469,7 @@ class TestSubstreamKeys:
                 np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
                 for t in trials
             ]
-            got = _Substreams(seed).keys(trials)
+            got = _Substreams([seed], [MAX_TRIALS]).keys(trials)
             assert got.dtype == np.uint64 and got.shape == (len(trials), 2)
             assert got.tolist() == [k.tolist() for k in want], trials
 
@@ -475,7 +478,7 @@ class TestSubstreamKeys:
         # every offset of a start column in its Philox block, and a start past 1024 blocks;
         # 4100 trials take two key blocks
         starts, n = (0, 1, 2, 3, 4, 5, 7, 4097), 6
-        streams = _Substreams(seed)
+        streams = _Substreams([seed], [MAX_TRIALS])
         out = np.full((4100, n + 3), np.nan)
         for trials in (range(0, 40), range(2**32 - 3, 2**32), range(0), range(5, 4105)):
             want = np.empty((len(starts), len(trials), n))
@@ -497,6 +500,104 @@ class TestSubstreamKeys:
         monkeypatch.setattr(np.random, "SeedSequence", counting)
         simulate_chain(delta0(), [(1, "split"), (2, "split")], 1000, seed=5)
         assert len(built) <= 1
+
+    def test_rows_of_mixed_seeds_match_the_oracle(self):
+        # 1-, 2-, 5-, 0-trial, 7- and 1-word seeds; the 4100 trials of one seed cross a key block
+        seeds = [7, 2**64 - 59, 3**90, 5, 2**200 + 12345, 0]
+        trials = [3, 4100, 5, 0, 6, 2]
+        starts, n = (0, 1, 3, 4097), 6
+        oracle = np.concatenate([oracle_uniforms(seed, range(t), starts[-1] + n)
+                                 for seed, t in zip(seeds, trials)])
+        want_keys = [np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
+                     for seed, count in zip(seeds, trials) for t in range(count)]
+        streams = _Substreams(seeds, trials)
+        out = np.full((len(oracle), n + 3), np.nan)
+        for rows in (range(len(oracle)), range(2, 4110), range(4102, len(oracle)), range(4104, 4104)):
+            got = streams.keys(rows)
+            assert got.tolist() == [k.tolist() for k in want_keys[rows.start : rows.stop]], rows
+            for start in starts:
+                got = streams.draw(rows, start, start + n, out)
+                want = oracle[rows.start : rows.stop, start : start + n]
+                assert np.array_equal(got, want), (rows, start)
+
+
+class TestThresholdTables:
+    """The walk's threshold tables against the per-step power of 3 they replaced."""
+
+    @staticmethod
+    def per_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = np.power(3.0, -(s >> 1).astype(np.float64))
+        return _cij_entry(1, 0, x), _cij_entry(2, 0, x), 1.0 - _cij_entry(2, 2, x)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 17, 4096, 43240])
+    def test_tables_are_the_per_step_thresholds(self, length):
+        # every s to 40 past the first s where 3^-floor(s/2) underflows, and far past it
+        clip = 2 * 679
+        assert np.power(3.0, -678.0) > 0.0 == np.power(3.0, -679.0)
+        values = np.concatenate([np.arange(clip + 40), [4095, 2**20, 2**40]])
+        for offset in (0, 1, 3, 5):
+            for first in range(0, len(values), length):
+                # s starts `offset` words into its buffer, so SIMD loops meet it misaligned
+                buffer = np.zeros(offset + length, dtype=np.int64)
+                s = buffer[offset:]
+                s[:] = np.resize(values[first : first + length], length)
+                want = self.per_step(s)
+                trace0, trace2 = chain._thresholds()
+                got = (trace0[1].take(s, mode="clip"), trace0[2].take(s, mode="clip"),
+                       trace2.take(s, mode="clip"))
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (length, offset, first)
+
+
+class TestManyStreams:
+    """simulate_streams against one oracle replay per stream."""
+
+    STREAMS = [
+        [(1, "split"), (2, "split")],
+        [(1, "inert"), (0, "split")],
+        [(1, "split"), (2, "split")],
+        [],
+        [(2, "split"), (1, "split")],
+        [(1, "split"), (2, "split")],
+    ]
+    SEEDS = [7, 2**64 - 59, 3**90, 0, 2**200 + 12345, 7]
+    TRIALS = [500, 37, 300, 20, 1, 410]
+    INITIAL = Distribution({0: 0.5, 1: 0.3, 6: 0.2})
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 333])
+    def test_each_law_is_its_oracle_replay(self, monkeypatch, rows):
+        # a chunk of `rows` rows splits seeds and spans several; None keeps the default chunks
+        if rows is not None:
+            monkeypatch.setattr(chain, "_ROW_FLOOR", 1)
+            monkeypatch.setattr(chain, "_CHUNK", rows * 5)
+        laws = simulate_streams(self.INITIAL, self.STREAMS, self.TRIALS, self.SEEDS)
+        for law, stream, n, seed in zip(laws, self.STREAMS, self.TRIALS, self.SEEDS):
+            want = simulate_chain_unchunked(self.INITIAL, stream, n, seed)
+            assert list(law.mass.items()) == list(want.mass.items())
+            assert law.truncation_error == want.truncation_error
+
+    def test_one_replay_per_stream_of_kinds(self, monkeypatch):
+        replays = []
+        replay = chain._replay
+
+        def spy(initial, elements, seeds, trials):
+            replays.append((tuple(elements), tuple(seeds)))
+            return replay(initial, elements, seeds, trials)
+
+        monkeypatch.setattr(chain, "_replay", spy)
+        simulate_streams(self.INITIAL, self.STREAMS, self.TRIALS, self.SEEDS)
+        split1, split2 = (1, True), (2, True)
+        assert replays == [((split1, split2), (7, 3**90, 7)), (((1, False), (0, True)), (2**64 - 59,)),
+                           ((), (0,)), ((split2, split1), (2**200 + 12345,))]
+
+    def test_overflow_raises_for_the_one_stream(self, monkeypatch):
+        # split class-1 steps always rise, so from S_MAX only the inert stream keeps a trial
+        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        start = Distribution.point_mass(S_MAX)
+        streams = [[(1, "inert")], [(1, "split")]]
+        assert simulate_streams(start, streams[:1], [50], [1])[0].truncation_error == 0.0
+        with pytest.raises(ConsistencyError, match="every trial overflowed"):
+            simulate_streams(start, streams, [50, 50], [1, 2])
 
 
 class TestChunkedSimulation:

@@ -415,6 +415,13 @@ class TestUnreadableInputs:
         argv = [command[0], "--curve-file", curve_file, "--label", "fix", *command[1:]]
         self.check(argv, cache_file, capsys)
 
+    @pytest.mark.parametrize("name", ["fix.jsonl", "fix.curve"], ids=["cache", "stamp"])
+    def test_cache_file_that_is_a_directory(self, name, capsys, curve_file, cache_dir):
+        path = os.path.join(cache_dir, name)
+        os.makedirs(path)
+        argv = ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "200"]
+        self.check(argv, path, capsys)
+
 
 class TestUnwritableOutputs:
     """An output path that cannot be written is a configuration error (exit 2) naming it."""
@@ -443,6 +450,33 @@ class TestUnwritableOutputs:
                 "--X", "14", "--growth", "pow:1", "--emit-cubics", str(target)]
         self.check(argv, target, capsys)
         assert os.listdir(target) == []
+
+    def test_out_that_is_a_directory_is_2_before_any_work(
+        self, tmp_path, capsys, curve_file, cache_dir, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("classified")
+
+        monkeypatch.setattr("selmerfan.store.classify_primes", refuse)
+        out = tmp_path / "reports"
+        out.mkdir()
+        argv = ["classify", "--curve-file", curve_file, "--label", "fix",
+                "--max-prime", "1000000", "--out", str(out)]
+        self.check(argv, out, capsys)
+        assert not os.path.exists(cache_dir)
+
+    def test_out_that_is_a_directory_leaves_the_cubics_file(
+        self, tmp_path, capsys, curve_file, cache_dir
+    ):
+        out = tmp_path / "reports"
+        out.mkdir()
+        cubics = tmp_path / "cub.csv"
+        cubics.write_bytes(b"d,polynomial\n-23,x^3 - x - 1\n")
+        argv = ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", "--w", "1",
+                "--X", "14", "--growth", "pow:1", "--emit-cubics", str(cubics), "--out", str(out)]
+        self.check(argv, out, capsys)
+        assert cubics.read_bytes() == b"d,polynomial\n-23,x^3 - x - 1\n"
+        assert os.listdir(out) == [] and not os.path.exists(cache_dir)
 
     def test_cache_dir_that_is_a_regular_file(self, tmp_path, capsys, curve_file, monkeypatch):
         cache = tmp_path / "cache"

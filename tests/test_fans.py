@@ -4,12 +4,16 @@ import itertools
 import math
 import weakref
 
+import numpy as np
 import pytest
 
-from selmerfan.chain import Distribution, evolve
+from selmerfan import chain, fans
+from selmerfan.chain import S_MAX, Distribution, RhoE, evolve, simulate_chain
 from selmerfan.curves import CurveQ, classify_primes, good_primes, is_prime
-from selmerfan.errors import ConfigError, DataError
+from selmerfan.errors import ConfigError, ConsistencyError, DataError
 from selmerfan.fans import (
+    _sample_elements,
+    _substream_seed,
     FanElement,
     GrowthFn,
     RangeOverflowError,
@@ -291,6 +295,88 @@ def fan_law(m, w, X, growth, recs, trials, seed):
     """The walk law of the fan, sampled by count from its index."""
     index = FanIndex(FIX, ln_sequence(growth, X, m), w, recs)
     return fan_distribution(index, recs, Distribution.point_mass(0), trials, seed)
+
+
+def fan_distribution_per_element(index, records, initial, trials, seed):
+    """fan_distribution as one simulate_chain call an element: the oracle for the grouped replay."""
+    if index.m > 3:
+        elements = _sample_elements(index, min(trials, 256), seed)
+    else:
+        ranks = range(index.count)
+        if index.count > trials:
+            gen = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
+            )
+            ranks = sorted(gen.choice(index.count, size=trials, replace=False))
+        elements = [index.unrank(int(k)) for k in ranks]
+    base, extra = divmod(trials, len(elements))
+    merged: dict[int, float] = {}
+    total_kept = 0.0
+    for idx, elem in enumerate(elements):
+        n_alloc = base + (1 if idx < extra else 0)
+        stream = [records[q] for q in elem.primes]
+        emp = simulate_chain(initial, stream, n_alloc, _substream_seed(seed, 3, idx))
+        kept = n_alloc * (1.0 - emp.truncation_error)
+        total_kept += kept
+        for s, mass in emp.mass.items():
+            merged[s] = merged.get(s, 0.0) + mass * kept
+    mass = {s: v / total_kept for s, v in merged.items()}
+    return Distribution(mass, truncation_error=(trials - total_kept) / trials)
+
+
+class TestGroupedReplay:
+    """fan_distribution replays each stream of prime kinds once; the per-element loop is the oracle."""
+
+    @pytest.mark.parametrize(
+        "m, w, X, growth, bound, trials",
+        [(2, 1, 14.0, "pow:1", 196, 50), (2, 1, 14.0, "pow:1", 196, 1000),
+         (2, 2, 40.0, "pow:1", 1600, 400), (2, 2, 40.0, "pow:1", 1600, 3001),
+         (4, 2, 1.0, "affine:0,40", 40, 30), (4, 2, 1.0, "affine:0,40", 40, 1000)],
+        ids=["m2-w1-few", "m2-w1", "m2-w2-few", "m2-w2", "m4-w2-few", "m4-w2"],
+    )
+    @pytest.mark.parametrize("seed", [1, 11, 2**63 + 5])
+    def test_law_is_the_per_element_law(self, m, w, X, growth, bound, trials, seed):
+        recs = records_upto(bound)
+        index = FanIndex(FIX, ln_sequence(parse_growth(growth), X, m), w, recs)
+        initial = RhoE(0.6).initial_distribution()
+        got = fan_distribution(index, recs, initial, trials, seed)
+        want = fan_distribution_per_element(index, recs, initial, trials, seed)
+        assert list(got.mass.items()) == list(want.mass.items())
+        assert got.truncation_error == want.truncation_error
+
+    def test_windows_of_elements_keep_the_law(self, monkeypatch):
+        # 76 elements in windows of 7, each cutting across the 8 streams of prime kinds
+        calls = []
+        simulate_streams = fans.simulate_streams
+
+        def spy(initial, prime_streams, trials, seeds):
+            calls.append(len(trials))
+            return simulate_streams(initial, prime_streams, trials, seeds)
+
+        monkeypatch.setattr(fans, "_REPLAY_WINDOW", 7)
+        monkeypatch.setattr(fans, "simulate_streams", spy)
+        recs = records_upto(196)
+        index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
+        initial = RhoE(0.6).initial_distribution()
+        got = fan_distribution(index, recs, initial, 1000, 3)
+        want = fan_distribution_per_element(index, recs, initial, 1000, 3)
+        assert calls == [7] * 10 + [6]
+        assert list(got.mass.items()) == list(want.mass.items())
+        assert got.truncation_error == want.truncation_error
+
+    def test_an_element_whose_every_trial_overflows_raises(self, monkeypatch):
+        # split class-1 steps always rise, so from S_MAX every trial of an element with a
+        # split class-1 prime overflows, while one with an inert class-1 prime keeps some
+        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        recs = records_upto(196)
+        index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
+        kinds = {recs[q].split_in_F for e in enumerate_fan(index) for q in e.primes
+                 if recs[q].class_k == 1}
+        assert kinds == {True, False}
+        start = Distribution.point_mass(S_MAX)
+        for law in (fan_distribution, fan_distribution_per_element):
+            with pytest.raises(ConsistencyError, match="every trial overflowed"):
+                law(index, recs, start, 300, 1)
 
 
 class TestFanDistribution:
