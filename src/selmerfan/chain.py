@@ -316,10 +316,6 @@ class _Substreams:
         self._state["buffer"] = self._state["buffer"].tolist()
         self._counter = self._state["state"]["counter"].tolist()
 
-    def seats(self, rows: range) -> np.ndarray:
-        """The index into the seeds of each row."""
-        return np.searchsorted(self._ends, np.arange(rows.start, rows.stop), side="right")
-
     def keys(self, rows: range) -> np.ndarray:
         """The Philox key of SeedSequence(entropy=seed, spawn_key=(trial,)) for each row.
 
@@ -327,8 +323,9 @@ class _Substreams:
         its seed, and the pool is hashed out as generate_state(2, uint64),
         for all the rows at once.
         """
-        seats = self.seats(rows)
-        spawn = (np.arange(rows.start, rows.stop) - self._starts[seats]).astype(np.uint64)
+        index = np.arange(rows.start, rows.stop)
+        seats = np.searchsorted(self._ends, index, side="right")
+        spawn = (index - self._starts[seats]).astype(np.uint64)
         hash_const = self._hash_const[seats]
         state = []
         for word in self._pool[:, seats]:
@@ -369,13 +366,13 @@ def _thresholds() -> tuple[dict[int, np.ndarray], np.ndarray]:
     """The walk's thresholds at s = 0..2047, by s: trace 0 of classes 1 and 2 below them,
     and trace 2 of class 2 at or above the last.
 
-    They are read off numpy's power, as the per-step thresholds were, not
-    off _STEP_UP: Python's 3.0 ** -r differs from it by one ulp at some r.
-    x is 0.0 from r = 679 on, so a take clipped to the last entry serves
-    every larger s. They are built at the first walk, since building them at
+    x is Python's 3.0 ** -r, as in _STEP_UP, so the class-1 row is _STEP_UP
+    at s <= S_MAX: numpy's power differs from it by one ulp at some r. x is
+    0.0 from r = 679 on, so a take clipped to the last entry serves every
+    larger s. They are built at the first walk, since building them at
     import made every command's peak RSS 0.3-0.4 MB higher.
     """
-    x = np.power(3.0, -(np.arange(2048) >> 1).astype(np.float64))
+    x = np.repeat([3.0**-r for r in range(1024)], 2)
     return {1: _cij_entry(1, 0, x), 2: _cij_entry(2, 0, x)}, 1.0 - _cij_entry(2, 2, x)
 
 
@@ -413,9 +410,9 @@ def _replay(
 ) -> np.ndarray:
     """Every seed's trials over one stream of prime kinds, counted by final dimension.
 
-    Row k counts the trials of seeds[k] that end at s = 0..S_MAX and, last,
-    those past S_MAX. The rows of all the seeds walk together, chunked as
-    `simulate_chain` says.
+    Entry s counts the trials of all the seeds that end at s = 0..S_MAX,
+    and the last entry those past S_MAX. The rows of all the seeds walk
+    together, chunked as `simulate_chain` says.
     """
     width = 1 + 2 * len(elements)
     total = sum(trials)
@@ -424,7 +421,7 @@ def _replay(
     # a block after the first starts at an odd column, up to 3 past its reseat
     out = np.empty((rows, min(width, 3 + 2 * pairs)))
     streams = _Substreams(seeds, trials)
-    counts = np.zeros(len(seeds) * (S_MAX + 2), dtype=np.int64)
+    counts = np.zeros(S_MAX + 2, dtype=np.int64)
     for first in range(0, total, rows):
         chunk = range(first, min(first + rows, total))
         u = streams.draw(chunk, 0, min(width, 1 + 2 * pairs), out)
@@ -432,21 +429,20 @@ def _replay(
         for e in range(pairs, len(elements), pairs):
             block = elements[e : e + pairs]
             s = _walk(s, block, streams.draw(chunk, 1 + 2 * e, 1 + 2 * (e + len(block)), out))
-        cells = streams.seats(chunk) * (S_MAX + 2) + np.minimum(s, S_MAX + 1)
-        counts += np.bincount(cells, minlength=len(counts))
-    return counts.reshape(len(seeds), S_MAX + 2)
+        counts += np.bincount(np.minimum(s, S_MAX + 1), minlength=S_MAX + 2)
+    return counts
 
 
 def simulate_streams(
     initial: Distribution, prime_streams, trials: list[int], seeds: list[int]
-) -> list[Distribution]:
-    """The law `simulate_chain` gives each (stream, trials, seed), for many streams at once.
+) -> np.ndarray:
+    """The final-dimension counts of many (stream, trials, seed), summed over the streams.
 
-    Streams of the same prime kinds replay in one call, their trials
-    keyed by (seed, trial), so each law has the bytes of its own
-    `simulate_chain` call. The laws are built in stream order, and a stream
-    whose every trial overflows S_MAX raises a ConsistencyError. It holds
-    S_MAX + 2 counts and a law per stream, so many streams go in windows.
+    Entry s counts the trials that end at s = 0..S_MAX, the last entry
+    those past S_MAX; `law_from_counts` turns them into a law. Streams of
+    the same prime kinds replay in one call, their trials keyed by
+    (seed, trial), so each stream adds the counts of its own
+    `simulate_chain` call.
     """
     if min(trials) < 1:
         raise ConfigError(f"trials must be positive, got {min(trials)}")
@@ -457,20 +453,21 @@ def simulate_streams(
     groups: dict[tuple[tuple[int, bool], ...], list[int]] = {}
     for k, stream in enumerate(prime_streams):
         groups.setdefault(tuple(_stream_element(e) for e in stream), []).append(k)
-    counts = {}
-    for elements, members in groups.items():
-        replayed = _replay(initial, list(elements), [seeds[k] for k in members],
-                           [trials[k] for k in members])
-        counts.update(zip(members, replayed))
-    laws = []
-    for k, n in enumerate(trials):
-        row = counts[k]
-        n_kept = n - int(row[S_MAX + 1])
-        if n_kept == 0:
-            raise ConsistencyError("every trial overflowed the support bound")
-        mass = {v: int(c) / n_kept for v, c in enumerate(row[: S_MAX + 1]) if c}
-        laws.append(Distribution(mass, truncation_error=(n - n_kept) / n))
-    return laws
+    return sum(
+        _replay(initial, list(elements), [seeds[k] for k in members], [trials[k] for k in members])
+        for elements, members in groups.items()
+    )
+
+
+def law_from_counts(counts: np.ndarray) -> Distribution:
+    """The law of a `simulate_streams` count row: each mass is its count over
+    the trials kept, and the share of trials past S_MAX is the truncation error."""
+    n = int(counts.sum())
+    n_kept = n - int(counts[S_MAX + 1])
+    if n_kept == 0:
+        raise ConsistencyError("every trial overflowed the support bound")
+    mass = {s: int(c) / n_kept for s, c in enumerate(counts[: S_MAX + 1]) if c}
+    return Distribution(mass, truncation_error=(n - n_kept) / n)
 
 
 def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
@@ -483,6 +480,7 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     column blocks of about 2^22 uniforms, all drawn into one buffer, and
     only final dimensions are counted. So peak memory is one block: at most
     2^22 doubles (32 MiB) and a few per row, whatever the number of trials
-    or the length of the stream. It is `simulate_streams` of one stream.
+    or the length of the stream. It is the law of `simulate_streams` of one
+    stream.
     """
-    return simulate_streams(initial, [prime_stream], [trials], [seed])[0]
+    return law_from_counts(simulate_streams(initial, [prime_stream], [trials], [seed]))

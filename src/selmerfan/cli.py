@@ -176,6 +176,9 @@ def _run_simulate(config: argparse.Namespace) -> dict:
     _require_seed(config)
     initial = RhoE(config.rho).initial_distribution()
     if config.synthetic:
+        for name in ("curve_file", "label", "max_prime"):
+            if getattr(config, name) is not None:
+                raise ConfigError(f"--synthetic takes no --{name.replace('_', '-')}")
         stream = parse_synthetic(config.synthetic)
         source = {"synthetic": config.synthetic}
     else:

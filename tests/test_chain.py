@@ -20,6 +20,7 @@ from selmerfan.chain import (
     _Substreams,
     cij,
     evolve,
+    law_from_counts,
     ml_step,
     r_omega,
     rank_delta_inert,
@@ -441,19 +442,26 @@ def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed
     return Distribution(mass, truncation_error=dropped / trials)
 
 
-def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
-    """chain._walk over one whole uniform matrix, counted at once: the oracle for the chunking."""
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
+def replay_unchunked(initial: Distribution, prime_stream, trials: int, seed: int) -> np.ndarray:
+    """chain._walk over one whole uniform matrix, its final dimensions counted as _replay counts them."""
     elements = [_stream_element(e) for e in prime_stream]
     u = oracle_uniforms(seed, range(trials), 1 + 2 * len(elements))
     s = chain._walk(_draw_initial(initial, u[:, 0]), elements, u[:, 1:])
-    kept = s <= S_MAX
-    n_kept = int(kept.sum())
+    values, counts = np.unique(np.minimum(s, S_MAX + 1), return_counts=True)
+    out = np.zeros(S_MAX + 2, dtype=np.int64)
+    out[values] = counts
+    return out
+
+
+def simulate_chain_unchunked(initial: Distribution, prime_stream, trials: int, seed: int) -> Distribution:
+    """The law of replay_unchunked: the oracle for the chunking."""
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    counts = replay_unchunked(initial, prime_stream, trials, seed)
+    n_kept = trials - int(counts[S_MAX + 1])
     if n_kept == 0:
         raise ConsistencyError("every trial overflowed the support bound")
-    values, counts = np.unique(s[kept], return_counts=True)
-    mass = {int(v): c / n_kept for v, c in zip(values, counts)}
+    mass = {s: int(c) / n_kept for s, c in enumerate(counts[: S_MAX + 1]) if c}
     return Distribution(mass, truncation_error=(trials - n_kept) / trials)
 
 
@@ -526,14 +534,14 @@ class TestThresholdTables:
 
     @staticmethod
     def per_step(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = np.power(3.0, -(s >> 1).astype(np.float64))
+        x = np.array([3.0 ** -int(r) for r in s >> 1])
         return _cij_entry(1, 0, x), _cij_entry(2, 0, x), 1.0 - _cij_entry(2, 2, x)
 
     @pytest.mark.parametrize("length", [1, 7, 8, 17, 4096, 43240])
     def test_tables_are_the_per_step_thresholds(self, length):
         # every s to 40 past the first s where 3^-floor(s/2) underflows, and far past it
         clip = 2 * 679
-        assert np.power(3.0, -678.0) > 0.0 == np.power(3.0, -679.0)
+        assert 3.0**-678 > 0.0 == 3.0**-679
         values = np.concatenate([np.arange(clip + 40), [4095, 2**20, 2**40]])
         for offset in (0, 1, 3, 5):
             for first in range(0, len(values), length):
@@ -548,9 +556,15 @@ class TestThresholdTables:
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes(), (length, offset, first)
 
+    def test_class_1_row_is_the_exact_step(self):
+        # the Monte Carlo and exact walks read one number for each step up, also at
+        # s = 42 and 43, where numpy's power of 3 is one ulp off Python's
+        trace0, _ = chain._thresholds()
+        assert trace0[1][: S_MAX + 1].tobytes() == np.array(chain._STEP_UP).tobytes()
+
 
 class TestManyStreams:
-    """simulate_streams against one oracle replay per stream."""
+    """simulate_streams against one oracle replay per stream, counted and summed."""
 
     STREAMS = [
         [(1, "split"), (2, "split")],
@@ -570,11 +584,13 @@ class TestManyStreams:
         if rows is not None:
             monkeypatch.setattr(chain, "_ROW_FLOOR", 1)
             monkeypatch.setattr(chain, "_CHUNK", rows * 5)
-        laws = simulate_streams(self.INITIAL, self.STREAMS, self.TRIALS, self.SEEDS)
-        for law, stream, n, seed in zip(laws, self.STREAMS, self.TRIALS, self.SEEDS):
-            want = simulate_chain_unchunked(self.INITIAL, stream, n, seed)
-            assert list(law.mass.items()) == list(want.mass.items())
-            assert law.truncation_error == want.truncation_error
+        want = [replay_unchunked(self.INITIAL, stream, n, seed)
+                for stream, n, seed in zip(self.STREAMS, self.TRIALS, self.SEEDS)]
+        for stream, n, seed, counts in zip(self.STREAMS, self.TRIALS, self.SEEDS, want):
+            got = simulate_streams(self.INITIAL, [stream], [n], [seed])
+            assert got.tolist() == counts.tolist(), (stream, seed)
+        got = simulate_streams(self.INITIAL, self.STREAMS, self.TRIALS, self.SEEDS)
+        assert got.dtype == np.int64 and got.tolist() == sum(want).tolist()
 
     def test_one_replay_per_stream_of_kinds(self, monkeypatch):
         replays = []
@@ -590,14 +606,16 @@ class TestManyStreams:
         assert replays == [((split1, split2), (7, 3**90, 7)), (((1, False), (0, True)), (2**64 - 59,)),
                            ((), (0,)), ((split2, split1), (2**200 + 12345,))]
 
-    def test_overflow_raises_for_the_one_stream(self, monkeypatch):
-        # split class-1 steps always rise, so from S_MAX only the inert stream keeps a trial
+    def test_a_partial_overflow_is_the_truncation_error(self, monkeypatch):
+        # split class-1 steps always rise, so from S_MAX only the inert stream keeps its trials
         monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
         start = Distribution.point_mass(S_MAX)
-        streams = [[(1, "inert")], [(1, "split")]]
-        assert simulate_streams(start, streams[:1], [50], [1])[0].truncation_error == 0.0
+        counts = simulate_streams(start, [[(1, "inert")], [(1, "split")]], [50, 30], [1, 2])
+        assert counts.sum() == 80 and counts[S_MAX + 1] == 30
+        law = law_from_counts(counts)
+        assert law.mass == {S_MAX - 2: 1.0} and law.truncation_error == 30 / 80
         with pytest.raises(ConsistencyError, match="every trial overflowed"):
-            simulate_streams(start, streams, [50, 50], [1, 2])
+            simulate_chain(start, [(1, "split")], 30, 2)
 
 
 class TestChunkedSimulation:

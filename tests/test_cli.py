@@ -155,6 +155,23 @@ class TestExitCodes:
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
         assert not os.path.exists(cubics)
 
+    def test_synthetic_with_curve_flags_is_2_before_any_work(
+        self, capsys, monkeypatch, curve_file, cache_dir, no_point_counts
+    ):
+        def refuse(*args):
+            raise RuntimeError("uniforms drawn")
+
+        monkeypatch.setattr("selmerfan.chain._Substreams.draw", refuse)
+        synthetic = ["simulate", "--synthetic", "3x1s", "--trials", "10", "--seed", "1"]
+        for flags, name in ((["--curve-file", curve_file], "--curve-file"),
+                            (["--label", "nosuch"], "--label"),
+                            (["--max-prime", "7"], "--max-prime"),
+                            (["--curve-file", curve_file, "--label", "nosuch", "--max-prime", "7"],
+                             "--curve-file")):
+            assert main([*synthetic, *flags]) == 2, flags
+            assert f"--synthetic takes no {name}" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
+
     def test_trials_past_one_spawn_word_is_2_before_any_draw(self, capsys, monkeypatch):
         def refuse(*args):
             raise RuntimeError("uniforms drawn")

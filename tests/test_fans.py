@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from selmerfan import chain, fans
-from selmerfan.chain import S_MAX, Distribution, RhoE, evolve, simulate_chain
+from selmerfan.chain import S_MAX, Distribution, RhoE, evolve, law_from_counts, simulate_streams
 from selmerfan.curves import CurveQ, classify_primes, good_primes, is_prime
 from selmerfan.errors import ConfigError, ConsistencyError, DataError
 from selmerfan.fans import (
@@ -297,8 +297,8 @@ def fan_law(m, w, X, growth, recs, trials, seed):
     return fan_distribution(index, recs, Distribution.point_mass(0), trials, seed)
 
 
-def fan_distribution_per_element(index, records, initial, trials, seed):
-    """fan_distribution as one simulate_chain call an element: the oracle for the grouped replay."""
+def fan_counts_per_element(index, records, initial, trials, seed):
+    """fan_distribution's final-dimension counts, one replay an element: the oracle for the grouping."""
     if index.m > 3:
         elements = _sample_elements(index, min(trials, 256), seed)
     else:
@@ -310,22 +310,30 @@ def fan_distribution_per_element(index, records, initial, trials, seed):
             ranks = sorted(gen.choice(index.count, size=trials, replace=False))
         elements = [index.unrank(int(k)) for k in ranks]
     base, extra = divmod(trials, len(elements))
-    merged: dict[int, float] = {}
-    total_kept = 0.0
+    counts = np.zeros(S_MAX + 2, dtype=np.int64)
     for idx, elem in enumerate(elements):
         n_alloc = base + (1 if idx < extra else 0)
         stream = [records[q] for q in elem.primes]
-        emp = simulate_chain(initial, stream, n_alloc, _substream_seed(seed, 3, idx))
-        kept = n_alloc * (1.0 - emp.truncation_error)
-        total_kept += kept
-        for s, mass in emp.mass.items():
-            merged[s] = merged.get(s, 0.0) + mass * kept
-    mass = {s: v / total_kept for s, v in merged.items()}
-    return Distribution(mass, truncation_error=(trials - total_kept) / trials)
+        counts += simulate_streams(initial, [stream], [n_alloc], [_substream_seed(seed, 3, idx)])
+    return counts
 
 
 class TestGroupedReplay:
     """fan_distribution replays each stream of prime kinds once; the per-element loop is the oracle."""
+
+    @staticmethod
+    def counted_row(monkeypatch, index, recs, initial, trials, seed):
+        """The one count row fan_distribution builds its law from."""
+        rows = []
+
+        def spy(counts):
+            rows.append(counts)
+            return law_from_counts(counts)
+
+        monkeypatch.setattr(fans, "law_from_counts", spy)
+        fan_distribution(index, recs, initial, trials, seed)
+        assert len(rows) == 1
+        return rows[0]
 
     @pytest.mark.parametrize(
         "m, w, X, growth, bound, trials",
@@ -335,14 +343,33 @@ class TestGroupedReplay:
         ids=["m2-w1-few", "m2-w1", "m2-w2-few", "m2-w2", "m4-w2-few", "m4-w2"],
     )
     @pytest.mark.parametrize("seed", [1, 11, 2**63 + 5])
-    def test_law_is_the_per_element_law(self, m, w, X, growth, bound, trials, seed):
+    def test_law_is_the_per_element_law(self, monkeypatch, m, w, X, growth, bound, trials, seed):
         recs = records_upto(bound)
         index = FanIndex(FIX, ln_sequence(parse_growth(growth), X, m), w, recs)
         initial = RhoE(0.6).initial_distribution()
-        got = fan_distribution(index, recs, initial, trials, seed)
-        want = fan_distribution_per_element(index, recs, initial, trials, seed)
-        assert list(got.mass.items()) == list(want.mass.items())
-        assert got.truncation_error == want.truncation_error
+        got = self.counted_row(monkeypatch, index, recs, initial, trials, seed)
+        want = fan_counts_per_element(index, recs, initial, trials, seed)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("X", [14.0, 30.0])
+    @pytest.mark.parametrize("trials", [300, 1000, 3001])
+    def test_every_mass_is_its_count_over_the_kept_trials(self, monkeypatch, X, trials):
+        # split class-1 steps always rise, so a trial of an element with a split class-1 prime
+        # overflows from S_MAX and stays from S_MAX - 2: the few elements of these fans keep
+        # uneven shares of their trials, and a mass is still exactly its count over all kept
+        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        recs = records_upto(196)
+        index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), X, 1), 1, recs)
+        start = Distribution({S_MAX - 2: 0.3, S_MAX: 0.7})
+        for seed in (1, 2):
+            got = fan_distribution(index, recs, start, trials, seed)
+            counts = fan_counts_per_element(index, recs, start, trials, seed)
+            lost = int(counts[S_MAX + 1])
+            assert 0 < lost < trials
+            kept = trials - lost
+            want = [(s, int(c) / kept) for s, c in enumerate(counts[: S_MAX + 1]) if c]
+            assert list(got.mass.items()) == want
+            assert got.truncation_error == lost / trials
 
     def test_windows_of_elements_keep_the_law(self, monkeypatch):
         # 76 elements in windows of 7, each cutting across the 8 streams of prime kinds
@@ -358,15 +385,15 @@ class TestGroupedReplay:
         recs = records_upto(196)
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
         initial = RhoE(0.6).initial_distribution()
-        got = fan_distribution(index, recs, initial, 1000, 3)
-        want = fan_distribution_per_element(index, recs, initial, 1000, 3)
+        got = self.counted_row(monkeypatch, index, recs, initial, 1000, 3)
+        want = fan_counts_per_element(index, recs, initial, 1000, 3)
         assert calls == [7] * 10 + [6]
-        assert list(got.mass.items()) == list(want.mass.items())
-        assert got.truncation_error == want.truncation_error
+        assert got.tolist() == want.tolist()
 
-    def test_an_element_whose_every_trial_overflows_raises(self, monkeypatch):
-        # split class-1 steps always rise, so from S_MAX every trial of an element with a
-        # split class-1 prime overflows, while one with an inert class-1 prime keeps some
+    def test_a_fan_raises_only_when_every_trial_overflows(self, monkeypatch):
+        # real support primes have class 0 or 1, so s <= 1 + 2m and no real fan overflows; here
+        # split class-1 steps always rise, so from S_MAX every trial of an element with a split
+        # class-1 prime overflows, while one with an inert class-1 prime keeps its trials
         monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
         recs = records_upto(196)
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
@@ -374,9 +401,14 @@ class TestGroupedReplay:
                  if recs[q].class_k == 1}
         assert kinds == {True, False}
         start = Distribution.point_mass(S_MAX)
-        for law in (fan_distribution, fan_distribution_per_element):
-            with pytest.raises(ConsistencyError, match="every trial overflowed"):
-                law(index, recs, start, 300, 1)
+        counts = fan_counts_per_element(index, recs, start, 300, 1)
+        assert 0 < counts[S_MAX + 1] < 300
+        law = fan_distribution(index, recs, start, 300, 1)
+        assert law.truncation_error == counts[S_MAX + 1] / 300
+        # weight 1 puts one class-1 prime in every element: once inert ones rise too, all overflow
+        monkeypatch.setitem(chain._JUMPS, (1, False), np.array([[2], [2]]))
+        with pytest.raises(ConsistencyError, match="every trial overflowed"):
+            fan_distribution(index, recs, start, 300, 1)
 
 
 class TestFanDistribution:
