@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -175,7 +174,7 @@ def _run_evolve(config: argparse.Namespace) -> dict:
 def _run_simulate(config: argparse.Namespace) -> dict:
     _require_seed(config)
     initial = RhoE(config.rho).initial_distribution()
-    if config.synthetic:
+    if config.synthetic is not None:
         for name in ("curve_file", "label", "max_prime"):
             if getattr(config, name) is not None:
                 raise ConfigError(f"--synthetic takes no --{name.replace('_', '-')}")
@@ -236,10 +235,11 @@ def _run_frobclass(config: argparse.Namespace) -> dict:
 def _run_fan(config: argparse.Namespace) -> dict:
     if config.trials is not None:
         _require_seed(config)
+        initial = RhoE(config.rho).initial_distribution()
     curve = _load_curve(config)
     growth = parse_growth(config.growth)
     bounds = ln_sequence(growth, config.X, config.m)
-    _, records, _ = _curve_cache(config, curve, math.ceil(bounds[-1]) - 1)
+    _, records, _ = _curve_cache(config, curve, FanIndex.prime_bound(bounds, config.w))
     index = FanIndex(curve, bounds, config.w, records)
     payload = {
         "label": curve.label,
@@ -254,8 +254,7 @@ def _run_fan(config: argparse.Namespace) -> dict:
     if config.out or config.emit_cubics or config.trials is None:
         payload["elements"] = elements = enumerate_fan(index)
     if config.trials is not None:
-        initial = RhoE(config.rho).initial_distribution()
-        emp = fan_distribution(index, records, initial, config.trials, config.seed)
+        emp = fan_distribution(index, initial, config.trials, config.seed)
         payload.update(_distribution_payload(emp))
         payload["tv_to_evolve"] = emp.tv_distance(evolve(initial, config.w))
     # after sampling, so that a fan the sampler refuses leaves the file as it was
@@ -350,50 +349,40 @@ def run(config: argparse.Namespace) -> Report:
     return Report(meta=meta, payload=payload)
 
 
-def _check_output(path: str) -> None:
-    """Refuse an output path that is a directory or lies under something that is not one."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
-    while not os.path.isdir(parent):
-        if os.path.lexists(parent):
-            raise ConfigError(f"cannot write {path}: its parent is not a directory")
-        parent = os.path.dirname(parent)
-
-
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temp file and rename, so readers never see a partial file.
 
     An existing target that is not a regular file, such as a FIFO or a
     device, is written in place: renaming over it would replace the node.
+    A failed write, as to a read-only directory, is a ConfigError naming it.
     """
-    _check_output(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    target_dir = os.path.dirname(os.path.abspath(path))
     try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target_dir = os.path.dirname(os.path.abspath(path))
         os.makedirs(target_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as e:
-        raise ConfigError(f"cannot write {path}: its parent is not a directory") from e
-    fd, tmp = tempfile.mkstemp(dir=target_dir, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        # mkstemp creates 0600: keep an existing file's mode, else the umask's
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, os.stat(path).st_mode & 0o7777 if os.path.isfile(path) else 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=target_dir, prefix=".tmp-report-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            # mkstemp creates 0600: keep an existing file's mode, else the umask's
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = os.stat(path).st_mode & 0o7777 if os.path.isfile(path) else 0o666 & ~umask
+            os.chmod(tmp, mode)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def emit(report: Report, config: argparse.Namespace) -> None:
@@ -492,13 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """The run config: the parsed flags plus the cache directory.
 
-    Output paths are checked here, so that one that cannot be written is
-    refused before any work.
+    An output path that is a directory or lies under something that is not
+    one is refused here, before any work.
     """
     config = build_parser().parse_args(argv)
-    for path in (config.out, getattr(config, "emit_cubics", None)):
-        if path:
-            _check_output(path)
+    for path in filter(None, (config.out, getattr(config, "emit_cubics", None))):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.isdir(parent):
+            if os.path.lexists(parent):
+                raise ConfigError(f"cannot write {path}: its parent is not a directory")
+            parent = os.path.dirname(parent)
     config.cache_dir = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     return config
 

@@ -154,8 +154,9 @@ class FanIndex:
     """A weight-w fan under the bounds L_1..L_m of ln_sequence, held by count.
 
     It gives the fan's `count`, its k-th element in sorted order and
-    membership; `enumerate_fan` lists it, sorted. The records must cover
-    every good prime below the last bound; a gap in them is an error, not a
+    membership; `enumerate_fan` lists it, sorted. It keeps the records it
+    counted, the ones `fan_distribution` replays; they must cover every
+    good prime up to `prime_bound`, and a gap in them is an error, not a
     silent shrink.
 
     A sorted tuple of support primes is admissible when q_j < L_j position
@@ -171,19 +172,26 @@ class FanIndex:
     unranking and membership read are exact.
     """
 
+    @staticmethod
+    def prime_bound(bounds: list[float], w: int) -> int:
+        """ceil(L_m) - 1, the last prime the fan reads, once m >= 1 and w in 0..m are checked."""
+        m = len(bounds)
+        if m < 1:
+            raise ConfigError(f"fan needs m >= 1, got {m}")
+        if w < 0 or w > m:
+            raise ConfigError(f"weight must lie in 0..{m}, got {w}")
+        return math.ceil(bounds[-1]) - 1
+
     def __init__(
         self, curve: CurveQ, bounds: list[float], w: int, records: dict[int, PrimeClassRecord]
     ):
-        self.bounds, self.m, self.w = bounds, len(bounds), w
-        if self.m < 1:
-            raise ConfigError(f"fan needs m >= 1, got {self.m}")
-        if w < 0 or w > self.m:
-            raise ConfigError(f"weight must lie in 0..{self.m}, got {w}")
-        missing = [p for p in good_primes(curve, math.ceil(bounds[-1]) - 1) if p not in records]
+        top = self.prime_bound(bounds, w)
+        self.bounds, self.m, self.w, self.records = bounds, len(bounds), w, records
+        missing = [p for p in good_primes(curve, top) if p not in records]
         if missing:
             raise DataError(
                 f"classification cache is missing {len(missing)} primes in "
-                f"[{missing[0]}, {missing[-1]}]; classify up to {math.ceil(bounds[-1])} first"
+                f"[{missing[0]}, {missing[-1]}]; classify up to {top + 1} first"
             )
         # the support primes below the last bound, ascending: the primes a fan draws from
         self.support = [p for p in sorted(records) if p < bounds[-1] and records[p].in_DB_support]
@@ -269,9 +277,7 @@ def _sample_elements(index: FanIndex, count: int, seed: int) -> list[FanElement]
     support primes; a proposal is accepted when the index admits it, so
     accepted draws are uniform over the (non-empty) fan.
     """
-    gen = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 1)))
-    )
+    gen = np.random.Generator(np.random.Philox(_substream_seed(seed, 1)))
     out: list[FanElement] = []
     limit = 10_000 * max(1, count)
     for _ in range(limit):
@@ -293,26 +299,21 @@ _REPLAY_WINDOW = 1024
 
 
 def fan_distribution(
-    index: FanIndex,
-    records: dict[int, PrimeClassRecord],
-    initial: Distribution,
-    trials: int,
-    seed: int,
+    index: FanIndex, initial: Distribution, trials: int, seed: int
 ) -> Distribution:
     """Empirical final-dimension law over a fan, lifts sampled per prime.
 
-    Takes the fan's counting index, with the records it was built from.
-    Every walk starts from the initial law. Small fans (m up to 3) spread
-    the trials as evenly as possible across all elements, or across
-    `trials` ranks drawn without replacement and unranked; larger fans draw
-    a uniform batch of elements by rejection. No element list is built.
-    The elements replay through `simulate_streams`, 1024 at a time, each
-    on its own seed: those of the same prime kinds walk together, and the
-    final-dimension counts of all the windows add up to one row, so each
-    mass is its count over the trials kept. An empty fan raises before any
-    draw: a DataError for m >= 4 over at least m support primes, else a
-    ConfigError; a fan whose every trial overflows raises a
-    ConsistencyError.
+    Replays the records the index was built from, so no others can stand
+    in for them, each walk from the initial law. Fans with m <= 3 spread
+    the trials evenly over all elements, or over `trials` ranks drawn
+    without replacement and unranked; larger fans draw a uniform batch by
+    rejection. No element list is built. The elements replay through
+    `simulate_streams`, 1024 at a time, each on its own seed, those of the
+    same prime kinds together; the windows' count rows add up to one, so
+    each mass is its count over the trials kept. An empty fan raises
+    before any draw: a DataError for m >= 4 over at least m support
+    primes, else a ConfigError; a fan whose every trial overflows raises
+    a ConsistencyError.
     """
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
@@ -326,9 +327,7 @@ def fan_distribution(
     else:
         ranks = range(index.count)
         if index.count > trials:
-            gen = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=_substream_seed(seed, 2)))
-            )
+            gen = np.random.Generator(np.random.Philox(_substream_seed(seed, 2)))
             ranks = sorted(gen.choice(index.count, size=trials, replace=False))
         elements = [index.unrank(int(k)) for k in ranks]
     base, extra = divmod(trials, len(elements))
@@ -337,7 +336,7 @@ def fan_distribution(
         window = range(first, min(first + _REPLAY_WINDOW, len(elements)))
         counts += simulate_streams(
             initial,
-            [[records[q] for q in elements[k].primes] for k in window],
+            [[index.records[q] for q in elements[k].primes] for k in window],
             [base + (k < extra) for k in window],
             [_substream_seed(seed, 3, k) for k in window],
         )

@@ -108,26 +108,29 @@ def append_records(path: str, records: list[PrimeClassRecord]) -> int:
     """Append records whose (label, p) keys are not yet present.
 
     The file is read and extended under one exclusive lock, so the keys
-    checked are those of the bytes the append follows.
+    checked are those of the bytes the append follows. A failed append is a
+    ConfigError naming the cache.
     """
     if not records:
         return 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "ab+") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        fh.seek(0)
-        data = fh.read()
-        try:
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "ab+") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.seek(0)
+            data = fh.read()
             existing = _records_in(io.StringIO(data.decode("ascii"), newline=None))
-        except UnicodeDecodeError as e:
-            raise DataError(f"cache {path} has a non-ASCII byte; canonical lines are ASCII") from e
-        fresh = [r for r in records if (r.label, r.p) not in existing]
-        if fresh:
-            if not data.endswith(b"\n"):  # drop the fragment of a torn append
-                fh.truncate(data.rfind(b"\n") + 1)
-            fh.write("".join(record_to_line(rec) for rec in fresh).encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
+            fresh = [r for r in records if (r.label, r.p) not in existing]
+            if fresh:
+                if not data.endswith(b"\n"):  # drop the fragment of a torn append
+                    fh.truncate(data.rfind(b"\n") + 1)
+                fh.write("".join(record_to_line(rec) for rec in fresh).encode("utf-8"))
+                fh.flush()
+                os.fsync(fh.fileno())
+    except UnicodeDecodeError as e:
+        raise DataError(f"cache {path} has a non-ASCII byte; canonical lines are ASCII") from e
+    except OSError as e:
+        raise ConfigError(f"cannot append to cache {path}: {e.strerror or e}") from e
     return len(fresh)
 
 
@@ -156,10 +159,12 @@ def _check_curve_stamp(curve: CurveQ, path: str) -> None:
         return
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(stamp_path, "w", encoding="utf-8") as fh:
+            fh.write(stamp)
     except (FileExistsError, NotADirectoryError) as e:
         raise ConfigError(f"cache directory {os.path.dirname(path)} is not a directory") from e
-    with open(stamp_path, "w", encoding="utf-8") as fh:
-        fh.write(stamp)
+    except OSError as e:
+        raise ConfigError(f"cannot write cache stamp {stamp_path}: {e.strerror or e}") from e
 
 
 def ensure_classified(

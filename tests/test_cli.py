@@ -1,16 +1,20 @@
 """End-to-end command-line behaviour: exit codes, reports, reproducibility."""
 import argparse
+import builtins
 import hashlib
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import selmerfan
+from selmerfan import store
 from selmerfan.cli import main, parse_args, parse_synthetic, run
+from selmerfan.curves import CurveQ, classify_prime
 from selmerfan.errors import ConfigError
 
 
@@ -209,6 +213,30 @@ class TestExitCodes:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--w", "3"], "weight must lie in 0..2, got 3"),
+         (["--w", "-1"], "weight must lie in 0..2, got -1"),
+         (["--w", "1", "--rho", "2", "--trials", "10", "--seed", "1"], "rho must lie in [0, 1]"),
+         (["--w", "1", "--rho", "-0.5", "--trials", "10", "--seed", "1"],
+          "rho must lie in [0, 1]")],
+        ids=["w-past-m", "w-negative", "rho-past-1", "rho-negative"],
+    )
+    def test_bad_fan_weight_or_rho_is_2_before_any_work(
+        self, flags, message, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        rc = main(["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2",
+                   "--X", "200", "--growth", "pow:1", *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        for name in ("fix.jsonl", "fix.curve"):
+            assert not os.path.exists(os.path.join(cache_dir, name))
+
+    def test_empty_synthetic_is_refused_by_its_parser(self, capsys, cache_dir):
+        assert main(["simulate", "--trials", "10", "--seed", "1", "--synthetic", ""]) == 2
+        assert "bad synthetic token ''" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
 
     @pytest.mark.parametrize("s, code", [(64, 0), (65, 2), (76, 2)])
     def test_tailbound_past_s_max_is_2(self, s, code, capsys):
@@ -502,6 +530,66 @@ class TestUnwritableOutputs:
         argv = ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "200"]
         self.check(argv, cache, capsys)
         assert cache.read_text() == "kept\n"
+
+
+class TestFailedWrites:
+    """A write the system refuses, as to a read-only directory or a full disk, exits 2 naming it."""
+
+    check = TestUnwritableOutputs.check
+
+    @staticmethod
+    def refuse_open(monkeypatch, module, suffix, mode):
+        """Make `open` in module refuse paths ending in suffix that it opens in mode."""
+        def fake(path, *args, **kwargs):
+            if str(path).endswith(suffix) and args[:1] == (mode,):
+                raise PermissionError(13, "Permission denied", str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", fake, raising=False)
+
+    @staticmethod
+    def refuse(exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        return fail
+
+    def classify(self, curve_file):
+        return ["classify", "--curve-file", curve_file, "--label", "fix", "--max-prime", "200"]
+
+    def test_stamp_write(self, capsys, monkeypatch, curve_file, cache_dir):
+        self.refuse_open(monkeypatch, store, ".curve", "w")
+        stamp = os.path.join(cache_dir, "fix.curve")
+        self.check(self.classify(curve_file), stamp, capsys)
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    def test_cache_open(self, capsys, monkeypatch, curve_file, cache_dir):
+        self.refuse_open(monkeypatch, store, ".jsonl", "ab+")
+        self.check(self.classify(curve_file), os.path.join(cache_dir, "fix.jsonl"), capsys)
+
+    def test_cache_fsync(self, capsys, monkeypatch, curve_file, cache_dir):
+        monkeypatch.setattr(os, "fsync", self.refuse(OSError(28, "No space left on device")))
+        self.check(self.classify(curve_file), os.path.join(cache_dir, "fix.jsonl"), capsys)
+
+    def test_cache_directory_creation(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ro" / "fix.jsonl")
+        record = classify_prime(CurveQ(1, 1, "fix"), 5)
+        monkeypatch.setattr(os, "makedirs", self.refuse(PermissionError(13, "Permission denied")))
+        with pytest.raises(ConfigError, match=f"cannot append to cache {path}: Permission denied"):
+            store.append_records(path, [record])
+
+    def test_report_temp_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(tempfile, "mkstemp", self.refuse(PermissionError(13, "denied")))
+        self.check(["tailbound", "--s", "6", "--out", str(out)], out, capsys)
+        assert os.listdir(tmp_path) == []
+
+    def test_report_fsync_keeps_the_old_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("kept\n")
+        monkeypatch.setattr(os, "fsync", self.refuse(OSError(28, "No space left on device")))
+        self.check(["tailbound", "--s", "6", "--out", str(out)], out, capsys)
+        assert os.listdir(tmp_path) == ["r.json"] and out.read_text() == "kept\n"
 
 
 class TestRunApi:

@@ -272,6 +272,25 @@ class TestFanIndex:
         assert index.counts.max() == count + 1
         assert [index.unrank(k) for k in range(count)] == enumerate_fan(index)
 
+    def test_prime_bound_checks_the_shape_first(self):
+        with pytest.raises(ConfigError, match="m >= 1, got 0"):
+            FanIndex.prime_bound([], 0)
+        bounds = ln_sequence(parse_growth("pow:1"), 14.0, 2)
+        for w in (-1, 3):
+            with pytest.raises(ConfigError, match=f"weight must lie in 0..2, got {w}"):
+                FanIndex.prime_bound(bounds, w)
+        assert bounds[-1] == 196.0 and FanIndex.prime_bound(bounds, 2) == 195
+        assert FanIndex.prime_bound([6.0, 900.5], 0) == 900
+
+    def test_index_covers_its_prime_bound_and_keeps_its_records(self):
+        bounds = [6.0, 900.5]
+        top = FanIndex.prime_bound(bounds, 1)
+        recs = records_upto(top)
+        assert FanIndex(FIX, bounds, 1, recs).records is recs
+        del recs[max(recs)]
+        with pytest.raises(DataError, match=f"classify up to {top + 1} first"):
+            FanIndex(FIX, bounds, 1, recs)
+
     def test_rank_out_of_range_is_refused(self):
         bounds = ln_sequence(parse_growth("pow:1"), 14.0, 2)
         index = FanIndex(FIX, bounds, 1, records_upto(196))
@@ -294,7 +313,7 @@ class TestFanIndex:
 def fan_law(m, w, X, growth, recs, trials, seed):
     """The walk law of the fan, sampled by count from its index."""
     index = FanIndex(FIX, ln_sequence(growth, X, m), w, recs)
-    return fan_distribution(index, recs, Distribution.point_mass(0), trials, seed)
+    return fan_distribution(index, Distribution.point_mass(0), trials, seed)
 
 
 def fan_counts_per_element(index, records, initial, trials, seed):
@@ -322,7 +341,7 @@ class TestGroupedReplay:
     """fan_distribution replays each stream of prime kinds once; the per-element loop is the oracle."""
 
     @staticmethod
-    def counted_row(monkeypatch, index, recs, initial, trials, seed):
+    def counted_row(monkeypatch, index, initial, trials, seed):
         """The one count row fan_distribution builds its law from."""
         rows = []
 
@@ -331,7 +350,7 @@ class TestGroupedReplay:
             return law_from_counts(counts)
 
         monkeypatch.setattr(fans, "law_from_counts", spy)
-        fan_distribution(index, recs, initial, trials, seed)
+        fan_distribution(index, initial, trials, seed)
         assert len(rows) == 1
         return rows[0]
 
@@ -347,7 +366,7 @@ class TestGroupedReplay:
         recs = records_upto(bound)
         index = FanIndex(FIX, ln_sequence(parse_growth(growth), X, m), w, recs)
         initial = RhoE(0.6).initial_distribution()
-        got = self.counted_row(monkeypatch, index, recs, initial, trials, seed)
+        got = self.counted_row(monkeypatch, index, initial, trials, seed)
         want = fan_counts_per_element(index, recs, initial, trials, seed)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
@@ -362,7 +381,7 @@ class TestGroupedReplay:
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), X, 1), 1, recs)
         start = Distribution({S_MAX - 2: 0.3, S_MAX: 0.7})
         for seed in (1, 2):
-            got = fan_distribution(index, recs, start, trials, seed)
+            got = fan_distribution(index, start, trials, seed)
             counts = fan_counts_per_element(index, recs, start, trials, seed)
             lost = int(counts[S_MAX + 1])
             assert 0 < lost < trials
@@ -385,7 +404,7 @@ class TestGroupedReplay:
         recs = records_upto(196)
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
         initial = RhoE(0.6).initial_distribution()
-        got = self.counted_row(monkeypatch, index, recs, initial, 1000, 3)
+        got = self.counted_row(monkeypatch, index, initial, 1000, 3)
         want = fan_counts_per_element(index, recs, initial, 1000, 3)
         assert calls == [7] * 10 + [6]
         assert got.tolist() == want.tolist()
@@ -403,12 +422,12 @@ class TestGroupedReplay:
         start = Distribution.point_mass(S_MAX)
         counts = fan_counts_per_element(index, recs, start, 300, 1)
         assert 0 < counts[S_MAX + 1] < 300
-        law = fan_distribution(index, recs, start, 300, 1)
+        law = fan_distribution(index, start, 300, 1)
         assert law.truncation_error == counts[S_MAX + 1] / 300
         # weight 1 puts one class-1 prime in every element: once inert ones rise too, all overflow
         monkeypatch.setitem(chain._JUMPS, (1, False), np.array([[2], [2]]))
         with pytest.raises(ConsistencyError, match="every trial overflowed"):
-            fan_distribution(index, recs, start, 300, 1)
+            fan_distribution(index, start, 300, 1)
 
 
 class TestFanDistribution:
