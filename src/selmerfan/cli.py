@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
 
     p = sub.add_parser("fan", parents=[curve], help="enumerate a fan and emit cubics")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, action=_Positive)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--growth", required=True, help="log | pow:alpha | affine:a,b")

@@ -2,6 +2,7 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from selmerfan.chain import (
     Distribution,
     RhoE,
     _cij_entry,
+    _JUMPS,
     _draw_initial,
     _stream_element,
     _Substreams,
@@ -130,6 +132,45 @@ class TestTransitionWeights:
                 one[s - 4] = down4
             for key, mass in one.items():
                 assert two.pmf(key) == pytest.approx(mass, abs=1e-14), (s, key)
+
+    @staticmethod
+    def trace_row(i, x):
+        # the trace chances of a class-i prime at x = 3^-r, written as _cij_entry writes them,
+        # so that they stay exact over Fractions
+        return (x, 1 - x) if i == 1 else (x * x, 4 * x * (1 - x), (1 - x) * (1 - 3 * x))
+
+    def test_trace_rows_are_cij_entries(self):
+        for r in range(700):
+            x = 3.0**-r
+            for i in (1, 2):
+                assert self.trace_row(i, x) == tuple(_cij_entry(i, j, x) for j in range(i + 1))
+
+    def test_double_step_is_exactly_two_single_steps(self):
+        # over Fractions: a class-2 step jumps +4 with chance x^2 * 2/6 = x * (x/3), up then up,
+        # -4 with chance (1 - x)(1 - 3x), down then down, and stays otherwise
+        single, double = _JUMPS[1, True], _JUMPS[2, True]
+        lifts = double.shape[1]
+        for s in range(200):
+            x = Fraction(1, 3 ** r_omega(s))
+            one_class_2: dict[int, Fraction] = {}
+            for t, chance in enumerate(self.trace_row(2, x)):
+                for lift in range(lifts):
+                    to = s + int(double[t, lift])
+                    one_class_2[to] = one_class_2.get(to, 0) + chance / lifts
+            two_class_1: dict[int, Fraction] = {}
+            for t, chance in enumerate(self.trace_row(1, x)):
+                if chance == 0:
+                    continue
+                mid = s + int(single[t, 0])
+                for u, then in enumerate(self.trace_row(1, Fraction(1, 3 ** r_omega(mid)))):
+                    to = mid + int(single[u, 0])
+                    two_class_1[to] = two_class_1.get(to, 0) + chance * then
+            up, down = x * x * Fraction(2, 6), (1 - x) * (1 - 3 * x)
+            assert up == x * (x / 3)
+            want = {s + 4: up, s: 1 - up - down, s - 4: down}
+            want = {to: chance for to, chance in want.items() if chance}
+            for got in (one_class_2, two_class_1):
+                assert {to: chance for to, chance in got.items() if chance} == want, s
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -349,16 +390,20 @@ class TestExactKernel:
         "initial",
         [RhoE(1.0).initial_distribution(), RhoE(0.0).initial_distribution(),
          RhoE(0.3).initial_distribution(), stationary("even"), stationary("odd"),
-         Distribution({S_MAX - 1: 0.5, S_MAX: 0.5}), Distribution({2: 5e-324, 10: 1.0})],
-        ids=["rho-1", "rho-0", "rho-0.3", "stationary-even", "stationary-odd", "top", "underflow"],
+         Distribution({S_MAX - 1: 0.5, S_MAX: 0.5}), Distribution({2: 5e-324, 10: 1.0})]
+        + [Distribution.point_mass(s) for s in (0, 1, 7, 40, 63, 64)],
+        ids=["rho-1", "rho-0", "rho-0.3", "stationary-even", "stationary-odd", "top", "underflow",
+             "point-0", "point-1", "point-7", "point-40", "point-63", "point-64"],
     )
     def test_evolve_matches_per_step_oracle(self, initial):
         # exact equality, key order included; only the top law loses enough
         # mass past S_MAX for the renormalisation to move a bit, and only in the
         # underflow law does an upward move round to a zero mass, whose key
-        # would reorder the next step's law unless it is dropped at once
+        # would reorder the next step's law unless it is dropped at once; from
+        # point_mass(0) the law repeats with period 2 from step 65, so the w
+        # past 64 end evolve's shortcut on both parities
         oracle, steps = initial, 0
-        for w in (0, 1, 2, 7, 59, 60, 1000, 20000):
+        for w in (0, 1, 2, 7, 59, 60, 64, 65, 66, 67, 1000, 1001, 20000, 20001):
             while steps < w:
                 oracle, steps = ml_step_reference(oracle), steps + 1
             got = evolve(initial, w)

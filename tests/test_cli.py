@@ -267,6 +267,15 @@ class TestExitCodes:
         assert f"--jobs must be positive, got {jobs}" in capsys.readouterr().err
         assert not os.path.exists(cache_dir)
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_fan_m_below_1_is_2_while_parsing(self, tmp_path, capsys, cache_dir, m):
+        # the curve file does not exist, so a refusal after parsing would exit 3
+        rc = main(["fan", "--curve-file", str(tmp_path / "no-such.csv"), "--label", "fix",
+                   "--m", m, "--w", "0", "--X", "200", "--growth", "pow:1"])
+        assert rc == 2
+        assert f"--m must be positive, got {m}" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
+
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -794,11 +803,14 @@ class TestEvolveCommand:
             (["--w", "20000"], "7adf2fced324d695b1ed91d67b0aa53c18487b55cc079a1ec55dd575825815da"),
             (["--w", "20001", "--rho", "0.3"],
              "06ae50d48d106596e9a9c3562ee336e269caa732d871bbdc667f8db21fceb559"),
+            (["--w", "1000001", "--rho", "0.3"],
+             "b6710b9dd12558b121675bd410e4821cd3dbbdfa65dab2420015136a56e43414"),
         ],
-        ids=["w-20000", "w-20001-rho-0.3"],
+        ids=["w-20000", "w-20001-rho-0.3", "w-1000001-rho-0.3"],
     )
     def test_payload_is_pinned(self, argv, digest, tmp_path, capsys):
-        # recorded while every step built and validated its own Distribution
+        # the first two recorded while every step built and validated its own
+        # Distribution, the third while evolve still stepped all w
         out = str(tmp_path / "evolve.json")
         assert main(["evolve", *argv, "--out", out]) == 0
         payload = json.load(open(out))["payload"]
