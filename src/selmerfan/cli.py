@@ -9,7 +9,9 @@ subspaces, fan elements) as they are; `_render` gives each its float-free
 JSON form when the report is written. With --out the full report lands
 as JSON via a temp-file rename; without it the payload goes to stdout, as
 CSV when the command is tabular. Exit codes: 0 success, 1 stdout closed
-early, 2 configuration, 3 data, 4 internal consistency.
+early, 2 configuration, 3 data, 4 internal consistency. Fans are imported
+only where a fan is built or rendered, so the exact commands never load
+numpy.
 """
 from __future__ import annotations
 
@@ -44,15 +46,6 @@ from .curves import (
 )
 from .errors import ConfigError, ConsistencyError, DataError
 from .f3geom import QuadSpace, Subspace, coordinatewise_lagrangians, hyperbolic_space, lagrangians
-from .fans import (
-    FanElement,
-    FanIndex,
-    enumerate_fan,
-    fan_distribution,
-    lift_count,
-    ln_sequence,
-    parse_growth,
-)
 from .gl2f3 import (
     ConjClass,
     conjugacy_classes,
@@ -84,6 +77,8 @@ def _render(obj):
         return asdict(obj)
     if isinstance(obj, Subspace):
         return obj.basis
+    from .fans import FanElement, lift_count
+
     if isinstance(obj, FanElement):
         return {
             "primes": obj.primes,
@@ -233,6 +228,8 @@ def _run_frobclass(config: argparse.Namespace) -> dict:
 
 
 def _run_fan(config: argparse.Namespace) -> dict:
+    from .fans import FanIndex, enumerate_fan, fan_distribution, ln_sequence, parse_growth
+
     if config.trials is not None:
         _require_seed(config)
         initial = RhoE(config.rho).initial_distribution()

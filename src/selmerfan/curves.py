@@ -22,9 +22,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, isqrt, lcm
-from multiprocessing import Pool
-
-import numpy as np
 
 from .errors import ConfigError, ConsistencyError
 from .gl2f3 import ConjClass, conjugacy_classes, fixed_dim_density
@@ -87,6 +84,8 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
     if n < 2:
         return []
+    import numpy as np  # here, so that the commands that never sieve never load numpy
+
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, int(n**0.5) + 1):
@@ -327,6 +326,8 @@ def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeCl
     classify = partial(classify_prime, curve)
     if workers <= 1:
         return list(map(classify, ps))
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         return pool.map(classify, ps, chunksize=64)
 

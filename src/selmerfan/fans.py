@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, law_from_counts, simulate_streams
+from .chain import Distribution
 from .curves import CurveQ, PrimeClassRecord, good_primes
 from .errors import ConfigError, DataError
+from .sampling import law_from_counts, simulate_streams
 
 # the most elements a fan may have; listing 10^6 five-prime elements peaks near 210 MB
 MAX_FAN_ELEMENTS = 10**6

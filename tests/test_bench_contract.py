@@ -14,7 +14,11 @@ from pathlib import Path
 import pytest
 
 import selmerfan.chain
-import selmerfan.cli  # loads every traced module, so the tracer rebinds names in all of them
+import selmerfan.cli
+# cli imports fans, and fans the sampled walk, only inside the commands that use them;
+# import them here, as the benchmark's untraced pass does, so the tracer rebinds names in both
+import selmerfan.fans  # noqa: F401
+import selmerfan.sampling  # noqa: F401
 from selmerfan.chain import Distribution, simulate_chain
 from selmerfan.f3geom import hyperbolic_space
 

@@ -9,33 +9,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerfan import chain
+from selmerfan import chain, sampling
 from selmerfan.chain import (
     MAX_TRIALS,
     S_MAX,
     Distribution,
     RhoE,
     _cij_entry,
-    _JUMPS,
-    _draw_initial,
-    _stream_element,
-    _Substreams,
     cij,
     evolve,
-    law_from_counts,
     ml_step,
     r_omega,
     rank_delta_inert,
     rank_delta_split,
     rho,
     simulate_chain,
-    simulate_streams,
     stationary,
     tail_bound,
     tail_constant,
     tail_exact,
 )
 from selmerfan.errors import ConfigError, ConsistencyError
+from selmerfan.sampling import (
+    _JUMPS,
+    _draw_initial,
+    _stream_element,
+    _Substreams,
+    law_from_counts,
+    simulate_streams,
+)
 
 # Stationary masses frozen from an independent product-formula evaluation
 # (mpmath, 50 digits, truncated at machine precision).
@@ -84,6 +86,14 @@ class TestDistribution:
             Distribution({70: 1.0})
         with pytest.raises(ConfigError):
             Distribution({-2: 1.0})
+
+    def test_integral_keys_only(self):
+        # numpy registers its integers as numbers.Integral; they are stored as int keys
+        d = Distribution({np.int64(2): 1.0})
+        assert d.mass == {2: 1.0} and type(next(iter(d.mass))) is int
+        for key in (2.0, np.float64(2), "2"):
+            with pytest.raises(ConfigError):
+                Distribution({key: 1.0})
 
     def test_l1_and_tv(self):
         a = Distribution({0: 0.5, 2: 0.5})
@@ -488,10 +498,10 @@ def simulate_chain_scalar(initial: Distribution, prime_stream, trials: int, seed
 
 
 def replay_unchunked(initial: Distribution, prime_stream, trials: int, seed: int) -> np.ndarray:
-    """chain._walk over one whole uniform matrix, its final dimensions counted as _replay counts them."""
+    """sampling._walk over one whole uniform matrix, its final dimensions counted as _replay counts them."""
     elements = [_stream_element(e) for e in prime_stream]
     u = oracle_uniforms(seed, range(trials), 1 + 2 * len(elements))
-    s = chain._walk(_draw_initial(initial, u[:, 0]), elements, u[:, 1:])
+    s = sampling._walk(_draw_initial(initial, u[:, 0]), elements, u[:, 1:])
     values, counts = np.unique(np.minimum(s, S_MAX + 1), return_counts=True)
     out = np.zeros(S_MAX + 2, dtype=np.int64)
     out[values] = counts
@@ -595,7 +605,7 @@ class TestThresholdTables:
                 s = buffer[offset:]
                 s[:] = np.resize(values[first : first + length], length)
                 want = self.per_step(s)
-                trace0, trace2 = chain._thresholds()
+                trace0, trace2 = sampling._thresholds()
                 got = (trace0[1].take(s, mode="clip"), trace0[2].take(s, mode="clip"),
                        trace2.take(s, mode="clip"))
                 for g, w in zip(got, want):
@@ -604,7 +614,7 @@ class TestThresholdTables:
     def test_class_1_row_is_the_exact_step(self):
         # the Monte Carlo and exact walks read one number for each step up, also at
         # s = 42 and 43, where numpy's power of 3 is one ulp off Python's
-        trace0, _ = chain._thresholds()
+        trace0, _ = sampling._thresholds()
         assert trace0[1][: S_MAX + 1].tobytes() == np.array(chain._STEP_UP).tobytes()
 
 
@@ -627,8 +637,8 @@ class TestManyStreams:
     def test_each_law_is_its_oracle_replay(self, monkeypatch, rows):
         # a chunk of `rows` rows splits seeds and spans several; None keeps the default chunks
         if rows is not None:
-            monkeypatch.setattr(chain, "_ROW_FLOOR", 1)
-            monkeypatch.setattr(chain, "_CHUNK", rows * 5)
+            monkeypatch.setattr(sampling, "_ROW_FLOOR", 1)
+            monkeypatch.setattr(sampling, "_CHUNK", rows * 5)
         want = [replay_unchunked(self.INITIAL, stream, n, seed)
                 for stream, n, seed in zip(self.STREAMS, self.TRIALS, self.SEEDS)]
         for stream, n, seed, counts in zip(self.STREAMS, self.TRIALS, self.SEEDS, want):
@@ -639,13 +649,13 @@ class TestManyStreams:
 
     def test_one_replay_per_stream_of_kinds(self, monkeypatch):
         replays = []
-        replay = chain._replay
+        replay = sampling._replay
 
         def spy(initial, elements, seeds, trials):
             replays.append((tuple(elements), tuple(seeds)))
             return replay(initial, elements, seeds, trials)
 
-        monkeypatch.setattr(chain, "_replay", spy)
+        monkeypatch.setattr(sampling, "_replay", spy)
         simulate_streams(self.INITIAL, self.STREAMS, self.TRIALS, self.SEEDS)
         split1, split2 = (1, True), (2, True)
         assert replays == [((split1, split2), (7, 3**90, 7)), (((1, False), (0, True)), (2**64 - 59,)),
@@ -653,7 +663,7 @@ class TestManyStreams:
 
     def test_a_partial_overflow_is_the_truncation_error(self, monkeypatch):
         # split class-1 steps always rise, so from S_MAX only the inert stream keeps its trials
-        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        monkeypatch.setitem(sampling._JUMPS, (1, True), np.array([[2], [2]]))
         start = Distribution.point_mass(S_MAX)
         counts = simulate_streams(start, [[(1, "inert")], [(1, "split")]], [50, 30], [1, 2])
         assert counts.sum() == 80 and counts[S_MAX + 1] == 30
@@ -678,35 +688,35 @@ class TestChunkedSimulation:
     @pytest.mark.parametrize("rows", [1, 7, 333])
     def test_uneven_chunks_match_both_oracles(self, monkeypatch, rows):
         # 1000 trials leave a short last chunk at each size; each chunk's rows are one block
-        monkeypatch.setattr(chain, "_ROW_FLOOR", 1)
-        monkeypatch.setattr(chain, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
+        monkeypatch.setattr(sampling, "_ROW_FLOOR", 1)
+        monkeypatch.setattr(sampling, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
         self.assert_both_oracles()
 
     @pytest.mark.parametrize("pairs", [1, 2, 3, 7])
     def test_column_blocks_match_both_oracles(self, monkeypatch, pairs):
         # blocks of one or three elements start 1 and 3 past a reseat in turn, blocks of two
         # always 1; 18 elements leave a short last block at 7, and 333-row chunks a short last chunk
-        monkeypatch.setattr(chain, "_ROW_FLOOR", 333)
-        monkeypatch.setattr(chain, "_CHUNK", 333 * (1 + 2 * pairs))
+        monkeypatch.setattr(sampling, "_ROW_FLOOR", 333)
+        monkeypatch.setattr(sampling, "_CHUNK", 333 * (1 + 2 * pairs))
         self.assert_both_oracles()
 
     def test_blocks_hold_at_most_one_chunk_and_three_per_row(self, monkeypatch):
         # a stream wider than a chunk, walked in 63 blocks of up to 67 elements over 60 rows
-        monkeypatch.setattr(chain, "_CHUNK", 2**13)
+        monkeypatch.setattr(sampling, "_CHUNK", 2**13)
         stream = [(1, "split"), (2, "split")] * 2100
         buffers = []
-        draw = chain._Substreams.draw
+        draw = sampling._Substreams.draw
 
         def spy(self, trials, start, stop, out):
             buffers.append((len(trials), out.size, start % 4 + stop - start))
             return draw(self, trials, start, stop, out)
 
-        monkeypatch.setattr(chain._Substreams, "draw", spy)
+        monkeypatch.setattr(sampling._Substreams, "draw", spy)
         got = simulate_chain(delta0(), stream, 60, seed=2)
-        assert 1 + 2 * len(stream) > chain._CHUNK and len(buffers) == 63
+        assert 1 + 2 * len(stream) > sampling._CHUNK and len(buffers) == 63
         assert {size for _, size, _ in buffers} == {60 * 137}
         for rows, size, drawn in buffers:
-            assert rows * drawn <= size <= chain._CHUNK + 3 * rows
+            assert rows * drawn <= size <= sampling._CHUNK + 3 * rows
         assert got == simulate_chain_unchunked(delta0(), stream, 60, seed=2)
 
     def test_default_chunks_match_the_oracle(self):
@@ -718,8 +728,8 @@ class TestChunkedSimulation:
         assert got.truncation_error == expected.truncation_error
 
     def test_negative_dimension_still_raises_per_chunk(self, monkeypatch):
-        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[-2], [-2]]))
-        monkeypatch.setattr(chain, "_CHUNK", 7 * 3)
+        monkeypatch.setitem(sampling._JUMPS, (1, True), np.array([[-2], [-2]]))
+        monkeypatch.setattr(sampling, "_CHUNK", 7 * 3)
         with pytest.raises(ConsistencyError):
             simulate_chain(delta0(), [(1, "split")], 20, seed=1)
 

@@ -165,7 +165,7 @@ class TestExitCodes:
         def refuse(*args):
             raise RuntimeError("uniforms drawn")
 
-        monkeypatch.setattr("selmerfan.chain._Substreams.draw", refuse)
+        monkeypatch.setattr("selmerfan.sampling._Substreams.draw", refuse)
         synthetic = ["simulate", "--synthetic", "3x1s", "--trials", "10", "--seed", "1"]
         for flags, name in ((["--curve-file", curve_file], "--curve-file"),
                             (["--label", "nosuch"], "--label"),
@@ -180,7 +180,7 @@ class TestExitCodes:
         def refuse(*args):
             raise RuntimeError("uniforms drawn")
 
-        monkeypatch.setattr("selmerfan.chain._Substreams.draw", refuse)
+        monkeypatch.setattr("selmerfan.sampling._Substreams.draw", refuse)
         argv = ["simulate", "--trials", "4294967297", "--seed", "1", "--synthetic", "3x1s"]
         assert main(argv) == 2
         assert "at most 2^32" in capsys.readouterr().err
@@ -685,7 +685,7 @@ class TestFanCommand:
         def refuse(*args, **kwargs):
             raise RuntimeError("fan listed")
 
-        monkeypatch.setattr("selmerfan.cli.enumerate_fan", refuse)
+        monkeypatch.setattr("selmerfan.fans.enumerate_fan", refuse)
         argv = ["fan", "--curve-file", curve_file, "--label", "fix", *flags, "--seed", "1"]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("s,mass\n")
@@ -889,6 +889,62 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
+
+
+# the last stderr line of the child: its exit code and which of numpy and multiprocessing it loaded
+_LOADED = """
+import json, sys
+from selmerfan.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([code, [m for m in ("numpy", "multiprocessing") if m in sys.modules]]),
+      file=sys.stderr)
+"""
+
+
+class TestExactCommandsLoadNoArrays:
+    """A fresh interpreter runs each exact command with neither numpy nor
+    multiprocessing loaded, and prints what the in-process run prints."""
+
+    def _fresh(self, argv, cache):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(selmerfan.__file__)),
+                   SELMERFAN_CACHE_DIR=cache)
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, timeout=120,
+                              capture_output=True, text=True)
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        return code, loaded, proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stationary"],
+            ["evolve", "--w", "20000"],
+            ["tailbound", "--s", "10"],
+            ["gl2f3-report"],
+            ["lagrangians", "--dim", "6", "--blocks", "3"],
+            ["lagrangians", "--dim", "4", "--out", "OUT"],
+            ["frobclass", "--curve-file", "CSV", "--label", "fix", "--p", "7"],
+        ],
+        ids=["stationary", "evolve", "tailbound", "gl2f3-report", "lagrangians",
+             "lagrangians-out", "frobclass"],
+    )
+    def test_no_numpy_and_same_stdout(self, argv, tmp_path, cache_dir, capsys):
+        csv, out = tmp_path / "one.csv", tmp_path / "report.json"
+        csv.write_text("label,A,B\nfix,1,1\n")
+        argv = [{"CSV": str(csv), "OUT": str(out)}.get(a, a) for a in argv]
+        code, loaded, stdout = self._fresh(argv, cache_dir)
+        assert (code, loaded) == (0, [])
+        fresh_payload = json.loads(out.read_text())["payload"] if "--out" in argv else None
+        assert main(argv) == 0
+        assert stdout == capsys.readouterr().out
+        if fresh_payload is not None:
+            assert fresh_payload == json.loads(out.read_text())["payload"]
+
+    def test_sampling_loads_numpy(self, cache_dir):
+        # the control: the guard above can tell a command that loads numpy
+        argv = ["simulate", "--synthetic", "2x1s", "--trials", "5", "--seed", "1"]
+        code, loaded, _ = self._fresh(argv, cache_dir)
+        assert code == 0 and "numpy" in loaded
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -526,7 +526,7 @@ class TestClassification:
             def map(self, fn, tasks, chunksize=1):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr("selmerfan.curves.Pool", RecordingPool)
+        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
         return sizes
 
     def test_pool_has_at_most_one_worker_per_prime(self, pool_sizes, monkeypatch):

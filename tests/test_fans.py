@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from selmerfan import chain, fans
-from selmerfan.chain import S_MAX, Distribution, RhoE, evolve, law_from_counts, simulate_streams
+from selmerfan import fans, sampling
+from selmerfan.chain import S_MAX, Distribution, RhoE, evolve
 from selmerfan.curves import CurveQ, classify_primes, good_primes, is_prime
 from selmerfan.errors import ConfigError, ConsistencyError, DataError
 from selmerfan.fans import (
@@ -24,6 +24,7 @@ from selmerfan.fans import (
     ln_sequence,
     parse_growth,
 )
+from selmerfan.sampling import law_from_counts, simulate_streams
 
 FIX = CurveQ(1, 1, "fix")
 
@@ -376,7 +377,7 @@ class TestGroupedReplay:
         # split class-1 steps always rise, so a trial of an element with a split class-1 prime
         # overflows from S_MAX and stays from S_MAX - 2: the few elements of these fans keep
         # uneven shares of their trials, and a mass is still exactly its count over all kept
-        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        monkeypatch.setitem(sampling._JUMPS, (1, True), np.array([[2], [2]]))
         recs = records_upto(196)
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), X, 1), 1, recs)
         start = Distribution({S_MAX - 2: 0.3, S_MAX: 0.7})
@@ -413,7 +414,7 @@ class TestGroupedReplay:
         # real support primes have class 0 or 1, so s <= 1 + 2m and no real fan overflows; here
         # split class-1 steps always rise, so from S_MAX every trial of an element with a split
         # class-1 prime overflows, while one with an inert class-1 prime keeps its trials
-        monkeypatch.setitem(chain._JUMPS, (1, True), np.array([[2], [2]]))
+        monkeypatch.setitem(sampling._JUMPS, (1, True), np.array([[2], [2]]))
         recs = records_upto(196)
         index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, recs)
         kinds = {recs[q].split_in_F for e in enumerate_fan(index) for q in e.primes
@@ -425,7 +426,7 @@ class TestGroupedReplay:
         law = fan_distribution(index, start, 300, 1)
         assert law.truncation_error == counts[S_MAX + 1] / 300
         # weight 1 puts one class-1 prime in every element: once inert ones rise too, all overflow
-        monkeypatch.setitem(chain._JUMPS, (1, False), np.array([[2], [2]]))
+        monkeypatch.setitem(sampling._JUMPS, (1, False), np.array([[2], [2]]))
         with pytest.raises(ConsistencyError, match="every trial overflowed"):
             fan_distribution(index, start, 300, 1)
 
