@@ -37,6 +37,8 @@ class Distribution:
                 raise ConfigError(f"support point {s} outside 0..{S_MAX}")
             if m < 0:
                 raise ConfigError(f"negative mass {m} at {s}")
+            if m != m:  # NaN: unequal to itself, and neither < 0 nor > 0
+                raise ConfigError(f"mass at {s} is not a number")
             if m > 0:
                 clean[int(s)] = float(m)
         object.__setattr__(self, "mass", clean)
@@ -239,7 +241,10 @@ def tail_bound(s: int) -> float:
     if s < 4:
         raise ConfigError(f"tail bound needs s >= 4, got {s}")
     even = s - s % 2
-    return tail_constant() * 3.0 ** (-(even * (even - 2) // 8))
+    try:
+        return tail_constant() * 3.0 ** (-(even * (even - 2) // 8))
+    except OverflowError:  # an exponent past float range: the power underflows to 0.0
+        return 0.0
 
 
 def tail_exact(parity: str, s: int) -> float:

@@ -10,8 +10,8 @@ JSON form when the report is written. With --out the full report lands
 as JSON via a temp-file rename; without it the payload goes to stdout, as
 CSV when the command is tabular. Exit codes: 0 success, 1 stdout closed
 early, 2 configuration, 3 data, 4 internal consistency. Fans are imported
-only where a fan is built or rendered, so the exact commands never load
-numpy.
+only where a fan is built or rendered, and the Monte Carlo walk only where
+one is sampled, so only `simulate` and `fan` load numpy.
 """
 from __future__ import annotations
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .errors import ConfigError, ConsistencyError
@@ -84,14 +85,12 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
     if n < 2:
         return []
-    import numpy as np  # here, so that the commands that never sieve never load numpy
-
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return [int(q) for q in np.nonzero(sieve)[0]]
+    odd = bytearray([1]) * ((n + 1) // 2)  # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for p in range(3, isqrt(n) + 1, 2):
+        if odd[p // 2]:  # p is prime: strike p^2, p^2 + 2p, ..., p apart from index p^2 // 2
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return [2, *compress(range(1, n + 1, 2), odd)]
 
 
 def _check_prime(curve: CurveQ, p: int) -> None:
@@ -322,7 +321,9 @@ def frobenius_class(curve: CurveQ, p: int) -> ConjClass:
 
 def classify_primes(curve: CurveQ, ps: list[int], jobs: int = 1) -> list[PrimeClassRecord]:
     """Records for the given primes, in order; at most one worker per prime and per usable CPU."""
-    workers = min(jobs, len(ps), len(os.sched_getaffinity(0)))
+    # macOS has no sched_getaffinity; there every CPU is usable
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(jobs, len(ps), len(affinity(0)) if affinity else os.cpu_count() or 1)
     classify = partial(classify_prime, curve)
     if workers <= 1:
         return list(map(classify, ps))

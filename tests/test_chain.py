@@ -78,8 +78,14 @@ class TestDistribution:
             Distribution({0: 0.5, 2: 0.4})
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="negative mass"):
             Distribution({0: 1.2, 2: -0.2})
+
+    def test_nan_mass_rejected(self):
+        # NaN is neither < 0 nor > 0, so a sign test alone would drop it silently
+        for mass in ({0: float("nan"), 2: 1.0}, {0: np.float64("nan"), 2: 1.0}):
+            with pytest.raises(ConfigError, match="mass at 0 is not a number"):
+                Distribution(mass)
 
     def test_key_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -331,6 +337,12 @@ class TestTails:
         c = tail_constant()
         assert tail_bound(10) == pytest.approx(c * 3.0 ** -(10 * 8 / 8))
         assert tail_bound(11) == pytest.approx(c * 3.0 ** -(10 * 8 / 8))
+
+    def test_bound_underflows_to_zero(self):
+        # 3.0 ** -n is 0.0 once it underflows, and past float range the exponent itself
+        # cannot be converted; both read as the 0.0 the bound has become
+        assert tail_bound(10**5) == 0.0
+        assert tail_bound(10**400) == tail_bound(10**400 + 1) == 0.0
 
     def test_small_s_rejected(self):
         with pytest.raises(ConfigError):

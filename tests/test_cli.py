@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -241,6 +242,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("s, code", [(64, 0), (65, 2), (76, 2)])
     def test_tailbound_past_s_max_is_2(self, s, code, capsys):
         assert main(["tailbound", "--s", str(s)]) == code
+
+    def test_tailbound_past_float_range_is_2(self, capsys):
+        # the closed-form bound's exponent is past float range here; the exact tail's range
+        # check refuses s first
+        assert main(["tailbound", "--s", "1" + "0" * 400]) == 2
+        assert "exact tail needs 4 <= s <= 64" in capsys.readouterr().err
 
     def test_densities_below_100_is_2_before_any_work(
         self, capsys, curve_file, cache_dir, no_point_counts
@@ -924,9 +931,12 @@ class TestExactCommandsLoadNoArrays:
             ["lagrangians", "--dim", "6", "--blocks", "3"],
             ["lagrangians", "--dim", "4", "--out", "OUT"],
             ["frobclass", "--curve-file", "CSV", "--label", "fix", "--p", "7"],
+            ["classify", "--curve-file", "CSV", "--label", "fix", "--max-prime", "2000",
+             "--jobs", "1"],
+            ["densities", "--curve-file", "CSV", "--label", "fix", "--max-prime", "2000"],
         ],
         ids=["stationary", "evolve", "tailbound", "gl2f3-report", "lagrangians",
-             "lagrangians-out", "frobclass"],
+             "lagrangians-out", "frobclass", "classify", "densities"],
     )
     def test_no_numpy_and_same_stdout(self, argv, tmp_path, cache_dir, capsys):
         csv, out = tmp_path / "one.csv", tmp_path / "report.json"
@@ -935,6 +945,8 @@ class TestExactCommandsLoadNoArrays:
         code, loaded, stdout = self._fresh(argv, cache_dir)
         assert (code, loaded) == (0, [])
         fresh_payload = json.loads(out.read_text())["payload"] if "--out" in argv else None
+        # an empty cache again, so that classify counts the same records as fresh
+        shutil.rmtree(cache_dir, ignore_errors=True)
         assert main(argv) == 0
         assert stdout == capsys.readouterr().out
         if fresh_payload is not None:

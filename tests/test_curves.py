@@ -197,6 +197,12 @@ class TestPrimeHelpers:
         assert list(primes_upto(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert len(primes_upto(10**4)) == 1229
 
+    def test_primes_upto_matches_trial_division(self):
+        # every n to 2000: 0, 1, 2, 3, odd and even n, and each square of a prime
+        primes = [p for p in range(2001) if is_prime(p)]
+        for n in range(2001):
+            assert primes_upto(n) == [p for p in primes if p <= n], n
+
     def test_good_primes_excludes_bad_and_tiny(self):
         gp = good_primes(FIX, 100)
         assert 2 not in gp and 3 not in gp and 31 not in gp
@@ -548,6 +554,19 @@ class TestClassification:
         assert classify_primes(FIX, ps, jobs=5000) == serial
         assert classify_primes(FIX, ps, jobs=2) == serial
         assert pool_sizes == [cpus] * (cpus > 1) + [3, 2]
+
+    def test_no_affinity_counts_every_cpu(self, pool_sizes, monkeypatch):
+        # macOS has no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        ps = good_primes(FIX, 100)
+        serial = [classify_prime(FIX, p) for p in ps]
+        for jobs in (1, 2, 5000):
+            assert classify_primes(FIX, ps, jobs=jobs) == serial
+        assert pool_sizes == [2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # its answer when it cannot tell
+        assert classify_primes(FIX, ps, jobs=2) == serial
+        assert pool_sizes == [2, 3]
 
     def test_frobenius_class_consistent_with_dims(self):
         for p in good_primes(FIX, 300):
