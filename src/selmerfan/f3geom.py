@@ -2,19 +2,27 @@
 
 Subspaces are kept in reduced row-echelon form, which is the unique
 canonical representative, so equality of subspaces is tuple equality.
-Lagrangians are built row by row in echelon form, keeping a partial basis
-only while it stays isotropic; coordinatewise Lagrangians are built as
-direct sums of block Lagrangians.
+Lagrangians are built by isotropic-line recursion, each exactly once: an
+isotropic v and a partner u split off a plane, the Lagrangians of the
+plane's orthogonal complement W' are built first, and each extends in
+1 + 3^(k-1) ways, so N(W) = N(W')(1 + 3^(k-1)) at dim W = 2k (Taylor,
+The Geometry of the Classical Groups, 1992). Coordinatewise Lagrangians
+are built as direct sums of block Lagrangians.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
-MAX_AMBIENT_DIM = 6  # at dim 8 the row-by-row build takes seconds (2240 Lagrangians when hyperbolic)
+# Hyperbolic dim 8 builds its 2240 Lagrangians in 0.17-0.24 s in-process on
+# a 2-core VM, and `lagrangians --dim 8` takes 0.22-0.33 s with rendering.
+# That is past the 0.1 s or so a default op should take, and no benchmark op
+# times dim 8 yet, so the cap stays at 6 until one does.
+MAX_AMBIENT_DIM = 6
 
 Vec = tuple[int, ...]
 
@@ -38,6 +46,12 @@ def _rref(rows: Iterable[Sequence[int]], width: int) -> tuple[Vec, ...]:
         if pivot_row == len(mat):
             break
     return tuple(tuple(row) for row in mat[:pivot_row] if any(row))
+
+
+def _combinations(rows: Sequence[Vec], width: int) -> Iterator[Vec]:
+    """Every F3-linear combination of rows, the zero vector first."""
+    for coeffs in itertools.product(range(3), repeat=len(rows)):
+        yield tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % 3 for j in range(width))
 
 
 def gaussian_binomial(n: int, k: int, q: int = 3) -> int:
@@ -78,11 +92,7 @@ class Subspace:
 
     def vectors(self) -> Iterator[Vec]:
         """All 3^dim member vectors."""
-        for coeffs in itertools.product(range(3), repeat=self.dim):
-            yield tuple(
-                sum(c * row[j] for c, row in zip(coeffs, self.basis)) % 3
-                for j in range(self.ambient_dim)
-            )
+        return _combinations(self.basis, self.ambient_dim)
 
     def contains(self, v: Sequence[int]) -> bool:
         return _rref(list(self.basis) + [list(v)], self.ambient_dim) == self.basis
@@ -198,35 +208,66 @@ def is_totally_isotropic(space: QuadSpace, sub: Subspace) -> bool:
 def lagrangians(space: QuadSpace) -> list[Subspace]:
     """All maximal totally isotropic (dim/2) subspaces, canonically sorted.
 
-    Walks the echelon parameterization of enumerate_subspaces one row at a
-    time and keeps a row r only if B(r, r) = 0 and B(r, s) = 0 for every
-    earlier row s. In characteristic 3, q(v) = B(v, v), so a basis that is
-    isotropic under B spans a totally isotropic subspace.
+    Built by isotropic-line recursion, each Lagrangian once: see
+    _lagrangian_rows. A nondegenerate W of dim 2k splits as a plane
+    <v, u> with v isotropic, plus W' = <v, u>^perp, and each Lagrangian of
+    W' extends in 1 + 3^(k-1) ways, so N(W) = N(W')(1 + 3^(k-1)).
     """
-    n, half = space.dim, space.dim // 2
-    out = []
+    n = space.dim
 
-    def extend(pivots: tuple[int, ...], rows: list[Vec], images: list[Vec]) -> None:
-        # images[k] is gram . rows[k], so B(r, rows[k]) is a dot product
-        if len(rows) == half:
-            out.append(Subspace(n, tuple(rows)))
-            return
-        p = pivots[len(rows)]
-        free = [j for j in range(p + 1, n) if j not in pivots]
-        for values in itertools.product(range(3), repeat=len(free)):
-            row = [0] * n
-            row[p] = 1
-            for j, x in zip(free, values):
-                row[j] = x
-            if any(sum(a * b for a, b in zip(row, im)) % 3 for im in images):
-                continue
-            image = tuple(sum(g * x for g, x in zip(col, row)) % 3 for col in space.gram)
-            if sum(a * b for a, b in zip(row, image)) % 3 == 0:
-                extend(pivots, rows + [tuple(row)], images + [image])
+    @functools.cache
+    def image(y: Vec) -> Vec:
+        return tuple(sum(g * x for g, x in zip(row, y)) % 3 for row in space.gram)
 
-    for pivots in itertools.combinations(range(n), half):
-        extend(pivots, [], [])
+    def pair(x: Vec, y: Vec) -> int:
+        return sum(a * b for a, b in zip(x, image(y))) % 3
+
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out = [Subspace.span(rows, n) for rows in _lagrangian_rows(pair, identity)]
     out.sort(key=lambda s: s.basis)
+    return out
+
+
+def _lagrangian_rows(pair: Callable[[Vec, Vec], int], basis: Sequence[Vec]) -> list[list[Vec]]:
+    """A spanning set for each Lagrangian of the nondegenerate span W of basis.
+
+    Pick an isotropic v in W and u with B(v, u) = 1, and let W' be the
+    vectors of W orthogonal to both. A Lagrangian L of W either contains v,
+    and is <v> + L' for a Lagrangian L' of W', or meets v^perp in a subspace
+    whose shadow in W' is some L'. Then L is spanned by the vectors
+    e - B(w, e)v for e in L', and x + q(x)v with x = u + w, for exactly one
+    w in a fixed complement of L' in W'. An anisotropic W has none.
+    """
+    if not basis:
+        return [[]]
+    n = len(basis[0])
+    v = next((x for x in _combinations(basis, n) if any(x) and pair(x, x) == 0), None)
+    if v is None:
+        return []
+    t = next(b for b in basis if pair(v, b))
+    u = tuple(pair(v, t) * x % 3 for x in t)  # B(v, t) is 1 or 2, its own inverse
+    uu = pair(u, u)
+    # b - alpha v - beta u is the shadow of b in W', orthogonal to v and u;
+    # the 2k shadows span W', and _rref drops the two dependent ones
+    shadow = []
+    for b in basis:
+        beta = pair(b, v)
+        alpha = pair(b, u) - beta * uu
+        shadow.append(tuple((x - alpha * y - beta * z) % 3 for x, y, z in zip(b, v, u)))
+    sub_basis = _rref(shadow, n)
+    out = []
+    for lag in _lagrangian_rows(pair, sub_basis):
+        out.append([v, *lag])
+        complement: list[Vec] = []
+        for b in sub_basis:
+            if len(_rref([*lag, *complement, b], n)) > len(lag) + len(complement):
+                complement.append(b)
+        for w in _combinations(complement, n):
+            x = tuple((a + b) % 3 for a, b in zip(u, w))
+            qx = pair(x, x)
+            rows = [tuple((e_j - pair(w, e) * v_j) % 3 for e_j, v_j in zip(e, v)) for e in lag]
+            rows.append(tuple((x_j + qx * v_j) % 3 for x_j, v_j in zip(x, v)))
+            out.append(rows)
     return out
 
 

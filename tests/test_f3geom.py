@@ -1,12 +1,14 @@
 """Finite-geometry layer: subspace enumeration and Lagrangian counts over F3."""
 import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from selmerfan import f3geom
 from selmerfan.f3geom import (
     QuadSpace,
     Subspace,
@@ -71,6 +73,46 @@ OFFDIAG_6 = (
     (0, 1, 0, 2, 0, 1),
     (2, 0, 1, 0, 1, 1),
 )
+
+
+def det_mod3(gram):
+    """Determinant over F3, by elimination."""
+    mat = [list(row) for row in gram]
+    det = 1
+    for col in range(len(mat)):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] % 3), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        lead = mat[col][col] % 3  # 1 or 2, its own inverse
+        det *= lead
+        for r in range(col + 1, len(mat)):
+            f = mat[r][col] * lead
+            mat[r] = [(a - f * b) % 3 for a, b in zip(mat[r], mat[col])]
+    return det % 3
+
+
+def closed_form_count(space):
+    """Lagrangians of a nondegenerate space of dim 2k over F3: prod_{i<k} (3^i + 1)
+    when (-1)^k det G = 1 mod 3 (the space is a sum of hyperbolic planes), else 0."""
+    k = space.dim // 2
+    if (-1) ** k * det_mod3(space.gram) % 3 != 1:
+        return 0
+    return math.prod(3**i + 1 for i in range(k))
+
+
+def assert_complete(space, lags):
+    # distinct, valid and as many as the closed form: so no Lagrangian is missing
+    assert all(a.basis < b.basis for a, b in zip(lags, lags[1:]))
+    for lag in lags:
+        assert lag.dim == space.dim // 2
+        assert is_totally_isotropic(space, lag)
+    assert len(lags) == closed_form_count(space)
+
+
+SPLIT_6 = next(space for space in RANDOM_SPACES[6] if closed_form_count(space))
 
 
 def block_projections(space, sub):
@@ -205,23 +247,46 @@ def test_lagrangian_counts():
     ids=lambda space: f"dim{space.dim}-" + "".join(str(x) for row in space.gram for x in row),
 )
 def test_lagrangians_match_the_filter(space):
-    assert lagrangians(space) == brute_lagrangians(space)
+    lags = lagrangians(space)
+    assert_complete(space, lags)
+    assert lags == brute_lagrangians(space)
 
 
 @pytest.mark.parametrize("dim", sorted(RANDOM_SPACES))
 def test_random_grams_cover_split_and_nonsplit(dim):
-    # a form with no Lagrangian exercises pruning down to an empty list
+    # a form with no Lagrangian exercises the recursion down to an anisotropic space
     assert {bool(lagrangians(space)) for space in RANDOM_SPACES[dim]} == {True, False}
 
 
 def test_lagrangians_are_isotropic_half_dim():
-    space = hyperbolic_space(4)
-    for lag in lagrangians(space):
-        assert lag.dim == 2
-        assert is_totally_isotropic(space, lag)
-        for u in lag.vectors():
-            for v in lag.vectors():
-                assert space.pairing(u, v) == 0
+    # q on every member, not only on the basis, checks the x + q(x)v term
+    for space in (hyperbolic_space(4), QuadSpace(6, OFFDIAG_6), SPLIT_6):
+        lags = lagrangians(space)
+        assert lags
+        for lag in lags:
+            assert lag.dim == space.dim // 2
+            assert is_totally_isotropic(space, lag)
+            members = list(lag.vectors())
+            assert len(set(members)) == 3**lag.dim
+            assert all(quad_value(space, v) == 0 for v in members)
+            for u in members:
+                for v in members:
+                    assert space.pairing(u, v) == 0
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "split", "nonsplit"])
+def test_dim_8_complete_by_closed_form(kind, monkeypatch):
+    # no brute oracle reaches dim 8: it has 75,913,222 four-dimensional subspaces
+    monkeypatch.setattr(f3geom, "MAX_AMBIENT_DIM", 8)
+    seeded = random_spaces(8, 8, 3)
+    space = {
+        "hyperbolic": hyperbolic_space(8),
+        "split": next(s for s in seeded if closed_form_count(s)),
+        "nonsplit": next(s for s in seeded if not closed_form_count(s)),
+    }[kind]
+    if kind == "hyperbolic":
+        assert closed_form_count(space) == 2240
+    assert_complete(space, lagrangians(space))
 
 
 @pytest.mark.parametrize(
