@@ -13,13 +13,13 @@ tables and even rank deltas, one reproducible substream per trial, lives in
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConsistencyError
 
 S_MAX = 64
-PRODUCT_CUTOFF = 60
 MASS_TOL = 1e-12
 
 
@@ -197,6 +197,7 @@ def rho(d: Distribution) -> float:
 
 
 def _truncated_product(factors) -> float:
+    """Product of the factors before the first one, after the zeroth, within 1e-15 of 1."""
     out = 1.0
     for k, f in enumerate(factors):
         if k > 0 and abs(f - 1.0) < 1e-15:
@@ -215,9 +216,7 @@ def stationary(parity: str) -> Distribution:
     """
     if parity not in ("even", "odd"):
         raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
-    lead = _truncated_product(
-        1.0 / (1.0 + 3.0 ** (-k)) for k in range(PRODUCT_CUTOFF + 1)
-    )
+    lead = _truncated_product(1.0 / (1.0 + 3.0 ** (-k)) for k in itertools.count())
     shift = 0 if parity == "even" else 1
     mass: dict[int, float] = {}
     for j in range((S_MAX - shift) // 2 + 1):
@@ -231,9 +230,7 @@ def stationary(parity: str) -> Distribution:
 
 def tail_constant() -> float:
     """The constant multiplying the super-geometric tail bound."""
-    return _truncated_product(
-        1.0 / (1.0 - 3.0 ** (-k)) for k in range(1, PRODUCT_CUTOFF + 1)
-    )
+    return _truncated_product(1.0 / (1.0 - 3.0 ** (-k)) for k in itertools.count(1))
 
 
 def tail_bound(s: int) -> float:

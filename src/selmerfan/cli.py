@@ -3,7 +3,7 @@
 The parser declares every option once, and the namespace it returns is the
 run config: `parse_args` adds only the cache directory, taken from the
 environment. Every subcommand produces a Report: a meta block (version,
-the subcommand's own flags, timestamp, cache checksum) plus a
+the subcommand's own flags, timestamp, checksum of the cache it read) plus a
 deterministic payload. Payloads carry library objects (conjugacy classes,
 subspaces, fan elements) as they are; `_render` gives each its float-free
 JSON form when the report is written. With --out the full report lands
@@ -127,7 +127,8 @@ def _load_curve(config: argparse.Namespace) -> CurveQ:
 
 
 def _curve_cache(config: argparse.Namespace, curve: CurveQ, max_prime: int):
-    path = cache_path(config.cache_dir, curve.label or "unlabeled")
+    # the one cache a command reads; `run` pops config.cache_file for meta.cache_checksum
+    config.cache_file = path = cache_path(config.cache_dir, curve.label or "unlabeled")
     records, fresh = ensure_classified(curve, max_prime, path, jobs=config.jobs)
     return path, records, fresh
 
@@ -334,14 +335,13 @@ def run(config: argparse.Namespace) -> Report:
     if runner is None:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
     payload = _fmt12(runner(config))
-    label = getattr(config, "label", None)
-    checksum = cache_checksum(cache_path(config.cache_dir, label)) if label else None
+    cache_file = vars(config).pop("cache_file", None)
     meta = {
         "version": __version__,
         "command": config.subcommand,
         "config": {k: v for k, v in vars(config).items() if v is not None},
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "cache_checksum": checksum,
+        "cache_checksum": cache_checksum(cache_file) if cache_file else None,
     }
     return Report(meta=meta, payload=payload)
 
@@ -415,14 +415,16 @@ class _Trials(_Positive):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
-    common.add_argument("--jobs", type=int, default=1, action=_Positive, help="worker processes")
     common.add_argument("--out", help="write the full JSON report here atomically")
+    # the subcommands that may classify primes, in worker processes
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--jobs", type=int, default=1, action=_Positive, help="worker processes")
     # the subcommands that read one curve of a curve file, and those that
     # also classify it up to a bound
     curve = argparse.ArgumentParser(add_help=False, parents=[common])
     curve.add_argument("--curve-file", required=True)
     curve.add_argument("--label", required=True)
-    bounded = argparse.ArgumentParser(add_help=False, parents=[curve])
+    bounded = argparse.ArgumentParser(add_help=False, parents=[curve, pool])
     bounded.add_argument("--max-prime", type=int, required=True)
 
     parser = argparse.ArgumentParser(
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--rho", type=float, default=1.0, help="initial even mass")
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo walk over a prime stream")
+    p = sub.add_parser("simulate", parents=[common, pool], help="Monte Carlo walk over a prime stream")
     p.add_argument("--trials", type=int, required=True, action=_Trials)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--synthetic", help="stream spec like 40x1s+5x2s")
@@ -456,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frobclass", parents=[curve], help="Frobenius conjugacy class at p")
     p.add_argument("--p", type=int, required=True)
 
-    p = sub.add_parser("fan", parents=[curve], help="enumerate a fan and emit cubics")
+    p = sub.add_parser("fan", parents=[curve, pool], help="enumerate a fan and emit cubics")
     p.add_argument("--m", type=int, required=True, action=_Positive)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--X", type=float, required=True)

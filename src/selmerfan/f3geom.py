@@ -1,7 +1,8 @@
 """Exact linear algebra and finite geometry over F3.
 
-Subspaces are kept in reduced row-echelon form, which is the unique
-canonical representative, so equality of subspaces is tuple equality.
+A subspace is built from any rows that span it: the constructor reduces
+them once to reduced row-echelon form, the unique canonical basis, so
+equality of subspaces is tuple equality.
 Lagrangians are built by isotropic-line recursion, each exactly once: an
 isotropic v and a partner u split off a plane, the Lagrangians of the
 plane's orthogonal complement W' are built first, and each extends in
@@ -18,8 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
-# Hyperbolic dim 8 builds its 2240 Lagrangians in 0.17-0.24 s in-process on
-# a 2-core VM, and `lagrangians --dim 8` takes 0.22-0.33 s with rendering.
+# Hyperbolic dim 8 builds its 2240 Lagrangians in 0.13-0.15 s in-process on
+# a 2-core VM, and `lagrangians --dim 8` takes 0.22-0.39 s with rendering.
 # That is past the 0.1 s or so a default op should take, and no benchmark op
 # times dim 8 yet, so the cap stays at 6 until one does.
 MAX_AMBIENT_DIM = 6
@@ -68,7 +69,11 @@ def gaussian_binomial(n: int, k: int, q: int = 3) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F3^ambient_dim with canonical echelon basis."""
+    """The span of some rows in F3^ambient_dim.
+
+    The constructor takes any spanning rows, dependent, unreduced or a
+    generator, and stores their reduced row-echelon form as the basis.
+    """
 
     ambient_dim: int
     basis: tuple[Vec, ...]
@@ -76,15 +81,11 @@ class Subspace:
     def __post_init__(self) -> None:
         if self.ambient_dim < 0:
             raise ValueError("ambient_dim must be non-negative")
-        for row in self.basis:
+        rows = tuple(self.basis)
+        for row in rows:
             if len(row) != self.ambient_dim:
                 raise ValueError("basis row length does not match ambient_dim")
-        if _rref(self.basis, self.ambient_dim) != self.basis:
-            raise ValueError("basis is not in reduced row-echelon form")
-
-    @classmethod
-    def span(cls, vectors: Iterable[Sequence[int]], ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, _rref(vectors, ambient_dim))
+        object.__setattr__(self, "basis", _rref(rows, self.ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -185,7 +186,7 @@ def enumerate_subspaces(space: QuadSpace, d: int) -> list[Subspace]:
                 rows[i][p] = 1
             for (i, j), val in zip(free_pos, values):
                 rows[i][j] = val
-            out.append(Subspace(n, tuple(tuple(r) for r in rows)))
+            out.append(Subspace(n, rows))
     expected = gaussian_binomial(n, d)
     if len(out) != expected or len(set(out)) != expected:
         raise AssertionError("echelon enumeration does not match the Gaussian binomial")
@@ -223,7 +224,7 @@ def lagrangians(space: QuadSpace) -> list[Subspace]:
         return sum(a * b for a, b in zip(x, image(y))) % 3
 
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    out = [Subspace.span(rows, n) for rows in _lagrangian_rows(pair, identity)]
+    out = [Subspace(n, rows) for rows in _lagrangian_rows(pair, identity)]
     out.sort(key=lambda s: s.basis)
     return out
 
@@ -297,7 +298,7 @@ def _block_lagrangian_sums(space: QuadSpace) -> Iterator[tuple[tuple[Subspace, .
             for i, part in enumerate(parts)
             for row in part.basis
         ]
-        yield parts, Subspace.span(rows, space.dim)
+        yield parts, Subspace(space.dim, rows)
 
 
 def coordinatewise_lagrangians(space: QuadSpace) -> list[Subspace]:

@@ -242,7 +242,7 @@ def test_criterion_8_finite_geometry():
     space4 = hyperbolic_space(4, 2)
     closed_form = math.prod(3**i + 1 for i in range(2))
     assert len(lagrangians(space4)) == closed_form == 8
-    mark = Subspace.span([(1, 0)], 2)
+    mark = Subspace(2, [(1, 0)])
     ramified = ramified_coordinatewise_lagrangians(space4, [mark, mark])
     assert len(ramified) == 1 == math.ceil(3 ** (2 * (1 - 1)))
     for dim in (2, 4, 6):

@@ -288,6 +288,16 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["lagrangians", "--dim", "2", "--jobs", "2"], ["stationary", "--jobs", "2"]],
+        ids=["lagrangians", "stationary"],
+    )
+    def test_jobs_on_a_command_that_classifies_nothing_is_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestStationaryCommand:
     def test_csv_shape(self, capsys):
@@ -639,11 +649,23 @@ class TestRunApi:
         assert main(["evolve", "--w", "3", "--out", out]) == 0
         config = json.load(open(out))["meta"]["config"]
         assert config["w"] == 3 and config["rho"] == 1.0
-        assert "blocks" not in config
+        assert "blocks" not in config and "jobs" not in config
         assert main(["stationary", "--out", out]) == 0
         config = json.load(open(out))["meta"]["config"]
         assert config["parity"] == "even"
-        assert "rho" not in config and "blocks" not in config
+        assert "rho" not in config and "blocks" not in config and "jobs" not in config
+
+    def test_cache_checksum_is_of_the_cache_the_command_read(
+        self, tmp_path, capsys, curve_file, cache_dir
+    ):
+        assert main(["classify", "--curve-file", curve_file, "--label", "fix",
+                     "--max-prime", "200"]) == 0
+        assert os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+        # frobclass reads no cache, so the one its label names is not its to report
+        out = str(tmp_path / "r.json")
+        assert main(["frobclass", "--curve-file", curve_file, "--label", "fix", "--p", "7",
+                     "--out", out]) == 0
+        assert json.load(open(out))["meta"]["cache_checksum"] is None
 
 
 class TestFanCommand:

@@ -28,7 +28,7 @@ vec = lambda n: st.tuples(*[st.integers(0, 2)] * n)
 def brute_subspace_count(ambient, d):
     seen = set()
     for vs in itertools.product(itertools.product(range(3), repeat=ambient), repeat=d):
-        sub = Subspace.span(vs, ambient)
+        sub = Subspace(ambient, vs)
         if sub.dim == d:
             seen.add(sub)
     return len(seen)
@@ -117,7 +117,7 @@ SPLIT_6 = next(space for space in RANDOM_SPACES[6] if closed_form_count(space))
 
 def block_projections(space, sub):
     return [
-        Subspace.span([[row[j] for j in space.block_range(i)] for row in sub.basis], space.block_dim)
+        Subspace(space.block_dim, [[row[j] for j in space.block_range(i)] for row in sub.basis])
         for i in range(space.n_blocks)
     ]
 
@@ -153,7 +153,7 @@ def test_gaussian_binomial_matches_brute_force():
 
 @given(st.lists(vec(4), min_size=1, max_size=5), st.lists(st.integers(0, 2), min_size=5, max_size=5))
 def test_span_contains_combinations(vectors, coeffs):
-    sub = Subspace.span(vectors, 4)
+    sub = Subspace(4, vectors)
     combo = [0, 0, 0, 0]
     for v, c in zip(vectors, coeffs):
         combo = [(x + c * y) % 3 for x, y in zip(combo, v)]
@@ -167,15 +167,37 @@ def test_span_is_generator_order_invariant(vectors, rng):
     shuffled = list(vectors)
     rng.shuffle(shuffled)
     scaled = [tuple(2 * x % 3 for x in v) for v in shuffled]
-    assert Subspace.span(vectors, 4) == Subspace.span(shuffled, 4) == Subspace.span(scaled + vectors, 4)
+    assert Subspace(4, vectors) == Subspace(4, shuffled) == Subspace(4, scaled + vectors)
 
 
 def test_subspace_vectors_enumerates_all_members():
-    sub = Subspace.span([(1, 0, 1, 0), (0, 1, 0, 2)], 4)
+    sub = Subspace(4, [(1, 0, 1, 0), (0, 1, 0, 2)])
     members = list(sub.vectors())
     assert len(members) == 9
     assert len(set(members)) == 9
     assert all(sub.contains(v) for v in members)
+
+
+@pytest.mark.parametrize(
+    "ambient, rows, basis",
+    [
+        (2, ((2, 0),), ((1, 0),)),
+        (3, ((1, 1, 0), (2, 2, 0), (0, 1, 1)), ((1, 0, 2), (0, 1, 1))),
+        (3, ((0, 2, 1), (1, 1, 1)), ((1, 0, 2), (0, 1, 2))),
+        (2, ((0, 0), (0, 0)), ()),
+        (2, ((1, 0, 0),), ValueError),
+    ],
+    ids=["scaled", "dependent", "unreduced", "zero", "wrong-row-length"],
+)
+def test_constructor_reduces_its_rows(ambient, rows, basis):
+    if basis is ValueError:
+        with pytest.raises(ValueError, match="row length"):
+            Subspace(ambient, rows)
+        return
+    sub = Subspace(ambient, rows)
+    assert sub.basis == basis
+    assert sub == Subspace(ambient, basis) == Subspace(ambient, iter(rows))
+    assert hash(sub) == hash(Subspace(ambient, basis))
 
 
 def test_enumerate_subspaces_counts():
@@ -331,7 +353,7 @@ def test_coordinatewise_rejects_degenerate_block():
 
 def test_ramified_count_two_blocks():
     space = hyperbolic_space(4, n_blocks=2)
-    mark = Subspace.span([(1, 0)], 2)
+    mark = Subspace(2, [(1, 0)])
     ram = ramified_coordinatewise_lagrangians(space, [mark, mark])
     assert ram == [
         w for w in brute_coordinatewise(space) if mark not in block_projections(space, w)
@@ -343,20 +365,29 @@ def test_ramified_count_two_blocks():
 
 def test_ramified_validates_marks():
     space = hyperbolic_space(4, n_blocks=2)
-    mark = Subspace.span([(1, 0)], 2)
+    mark = Subspace(2, [(1, 0)])
     with pytest.raises(ValueError):
         ramified_coordinatewise_lagrangians(space, [mark])
     with pytest.raises(ValueError):
-        ramified_coordinatewise_lagrangians(space, [mark, Subspace.span([(1, 0, 0, 0)], 4)])
+        ramified_coordinatewise_lagrangians(space, [mark, Subspace(4, [(1, 0, 0, 0)])])
     with pytest.raises(ValueError):
-        ramified_coordinatewise_lagrangians(space, [mark, Subspace.span([(1, 1)], 2)])
+        ramified_coordinatewise_lagrangians(space, [mark, Subspace(2, [(1, 1)])])
+
+
+def test_ramified_marks_may_be_any_spanning_rows():
+    space = hyperbolic_space(4, n_blocks=2)
+    canonical = [Subspace(2, [(1, 0)]), Subspace(2, [(0, 1)])]
+    unreduced = [Subspace(2, [(2, 0), (1, 0)]), Subspace(2, [(0, 0), (0, 2)])]
+    ram = ramified_coordinatewise_lagrangians(space, unreduced)
+    assert ram == ramified_coordinatewise_lagrangians(space, canonical)
+    assert len(ram) == 1
 
 
 @pytest.mark.parametrize(
     "space, marks",
     [
         (hyperbolic_space(4, 2), [Subspace(2, ()), Subspace(2, ())]),
-        (hyperbolic_space(4), [Subspace.span([(1, 0, 0, 0)], 4)]),
+        (hyperbolic_space(4), [Subspace(4, [(1, 0, 0, 0)])]),
     ],
     ids=["zero-marks", "isotropic-line-in-dim-4"],
 )
