@@ -264,9 +264,9 @@ def simulate_chain(initial: Distribution, prime_stream, trials: int, seed: int) 
     Every stream element consumes exactly two uniforms per trial (class
     draw, lift draw) whether or not it moves the walk, so trajectories are
     reproducible functions of (seed, trial) alone. The trials walk in
-    chunks of min(trials, max(4096, 2^22 // width)) rows, a long stream in
-    column blocks of about 2^22 uniforms, all drawn into one buffer, and
-    only final dimensions are counted. So peak memory is one block: at most
+    chunks of min(trials, 4096) rows, a long stream in column blocks of
+    about 2^22 uniforms, all drawn into one buffer, and only final
+    dimensions are counted. So peak memory is one block: at most
     2^22 doubles (32 MiB) and a few per row, whatever the number of trials
     or the length of the stream. It is the law of `simulate_streams` of one
     stream.

@@ -127,18 +127,12 @@ class _Substreams:
         state, bit_generator, random = self._state, self._bit_generator, self._generator.random
         inner = state["state"]
         inner["counter"] = [start // 4, *self._counter[1:]]
-        for k in range(0, len(rows), _KEY_BLOCK):
-            keys = self.keys(rows[k : k + _KEY_BLOCK]).tolist()
-            for row, key in zip(block[k : k + _KEY_BLOCK], keys):
-                inner["key"] = key
-                bit_generator.state = state
-                random(out=row)
+        for row, key in zip(block, self.keys(rows).tolist()):
+            inner["key"] = key
+            bit_generator.state = state
+            random(out=row)
         return block[:, lead:]
 
-
-# rows keyed per vector pass: their key arrays stay small heap blocks beside a chunk,
-# where keys for a whole chunk moved its placement and raised walk-warm's peak 76 -> 106 MB
-_KEY_BLOCK = 4096
 
 @functools.cache
 def _thresholds() -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -177,10 +171,10 @@ def _walk(s: np.ndarray, elements: list[tuple[int, bool]], u: np.ndarray) -> np.
     return s
 
 
-# uniforms per block (32 MiB), and the fewest trials a chunk walks at once: a stream wider
-# than _CHUNK // _ROW_FLOOR goes in column blocks, so the per-element loop runs over many rows
+# uniforms per block (32 MiB), and the most trials a chunk walks at once: a stream wider
+# than _CHUNK // _ROWS goes in column blocks, so the per-element loop runs over many rows
 _CHUNK = 2**22
-_ROW_FLOOR = 4096
+_ROWS = 4096
 
 
 def _replay(
@@ -190,11 +184,11 @@ def _replay(
 
     Entry s counts the trials of all the seeds that end at s = 0..S_MAX,
     and the last entry those past S_MAX. The rows of all the seeds walk
-    together, chunked as `simulate_chain` says.
+    together in chunks of at most _ROWS trials, each keyed in one pass.
     """
     width = 1 + 2 * len(elements)
     total = sum(trials)
-    rows = min(total, max(_ROW_FLOOR, _CHUNK // width))
+    rows = min(total, _ROWS)
     pairs = max(1, (_CHUNK // rows - 1) // 2)  # elements per column block
     # a block after the first starts at an odd column, up to 3 past its reseat
     out = np.empty((rows, min(width, 3 + 2 * pairs)))

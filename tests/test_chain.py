@@ -649,8 +649,7 @@ class TestManyStreams:
     def test_each_law_is_its_oracle_replay(self, monkeypatch, rows):
         # a chunk of `rows` rows splits seeds and spans several; None keeps the default chunks
         if rows is not None:
-            monkeypatch.setattr(sampling, "_ROW_FLOOR", 1)
-            monkeypatch.setattr(sampling, "_CHUNK", rows * 5)
+            monkeypatch.setattr(sampling, "_ROWS", rows)
         want = [replay_unchunked(self.INITIAL, stream, n, seed)
                 for stream, n, seed in zip(self.STREAMS, self.TRIALS, self.SEEDS)]
         for stream, n, seed, counts in zip(self.STREAMS, self.TRIALS, self.SEEDS, want):
@@ -672,6 +671,19 @@ class TestManyStreams:
         split1, split2 = (1, True), (2, True)
         assert replays == [((split1, split2), (7, 3**90, 7)), (((1, False), (0, True)), (2**64 - 59,)),
                            ((), (0,)), ((split2, split1), (2**200 + 12345,))]
+
+    @pytest.mark.parametrize("stream, trials, message", [
+        ([(1, "split")], MAX_TRIALS + 1, r"at most 2\^32"),
+        ([(1, "ramified")], 10, "'split' or 'inert'"),
+    ])
+    def test_refused_before_any_replay(self, monkeypatch, stream, trials, message):
+        # the bad stream comes last, so the good one before it would replay first
+        def fail(*args):
+            raise AssertionError("replayed")
+
+        monkeypatch.setattr(sampling, "_replay", fail)
+        with pytest.raises(ConfigError, match=message):
+            simulate_streams(self.INITIAL, [[(1, "inert")], stream], [10, trials], [1, 2])
 
     def test_a_partial_overflow_is_the_truncation_error(self, monkeypatch):
         # split class-1 steps always rise, so from S_MAX only the inert stream keeps its trials
@@ -700,22 +712,20 @@ class TestChunkedSimulation:
     @pytest.mark.parametrize("rows", [1, 7, 333])
     def test_uneven_chunks_match_both_oracles(self, monkeypatch, rows):
         # 1000 trials leave a short last chunk at each size; each chunk's rows are one block
-        monkeypatch.setattr(sampling, "_ROW_FLOOR", 1)
-        monkeypatch.setattr(sampling, "_CHUNK", rows * (1 + 2 * len(self.STREAM)))
+        monkeypatch.setattr(sampling, "_ROWS", rows)
         self.assert_both_oracles()
 
     @pytest.mark.parametrize("pairs", [1, 2, 3, 7])
     def test_column_blocks_match_both_oracles(self, monkeypatch, pairs):
         # blocks of one or three elements start 1 and 3 past a reseat in turn, blocks of two
         # always 1; 18 elements leave a short last block at 7, and 333-row chunks a short last chunk
-        monkeypatch.setattr(sampling, "_ROW_FLOOR", 333)
+        monkeypatch.setattr(sampling, "_ROWS", 333)
         monkeypatch.setattr(sampling, "_CHUNK", 333 * (1 + 2 * pairs))
         self.assert_both_oracles()
 
-    def test_blocks_hold_at_most_one_chunk_and_three_per_row(self, monkeypatch):
-        # a stream wider than a chunk, walked in 63 blocks of up to 67 elements over 60 rows
-        monkeypatch.setattr(sampling, "_CHUNK", 2**13)
-        stream = [(1, "split"), (2, "split")] * 2100
+    @staticmethod
+    def spy_draws(monkeypatch) -> list[tuple[int, int, int]]:
+        """(rows, buffer size, columns drawn with the skipped lead) of every draw to come."""
         buffers = []
         draw = sampling._Substreams.draw
 
@@ -724,12 +734,28 @@ class TestChunkedSimulation:
             return draw(self, trials, start, stop, out)
 
         monkeypatch.setattr(sampling._Substreams, "draw", spy)
+        return buffers
+
+    def test_blocks_hold_at_most_one_chunk_and_three_per_row(self, monkeypatch):
+        # a stream wider than a chunk, walked by two 30-row chunks in 31 blocks each of up
+        # to 136 elements
+        monkeypatch.setattr(sampling, "_CHUNK", 2**13)
+        monkeypatch.setattr(sampling, "_ROWS", 30)
+        stream = [(1, "split"), (2, "split")] * 2100
+        buffers = self.spy_draws(monkeypatch)
         got = simulate_chain(delta0(), stream, 60, seed=2)
-        assert 1 + 2 * len(stream) > sampling._CHUNK and len(buffers) == 63
-        assert {size for _, size, _ in buffers} == {60 * 137}
+        assert 1 + 2 * len(stream) > sampling._CHUNK and len(buffers) == 62
+        assert {(rows, size) for rows, size, _ in buffers} == {(30, 30 * 275)}
         for rows, size, drawn in buffers:
             assert rows * drawn <= size <= sampling._CHUNK + 3 * rows
         assert got == simulate_chain_unchunked(delta0(), stream, 60, seed=2)
+
+    def test_a_narrow_stream_walks_at_most_rows_trials_a_chunk(self, monkeypatch):
+        # one element is 3 uniforms a trial, so a chunk of 2^22 uniforms would take every trial
+        buffers = self.spy_draws(monkeypatch)
+        got = simulate_chain(self.INITIAL, [(2, "split")], 10_000, seed=6)
+        assert [rows for rows, _, _ in buffers] == [4096, 4096, 1808]
+        assert got == simulate_chain_unchunked(self.INITIAL, [(2, "split")], 10_000, seed=6)
 
     def test_default_chunks_match_the_oracle(self):
         # width 4401 walks 2500 trials as one chunk, in column blocks of 838, 838 and 524 elements
@@ -740,13 +766,15 @@ class TestChunkedSimulation:
         assert got.truncation_error == expected.truncation_error
 
     def test_negative_dimension_still_raises_per_chunk(self, monkeypatch):
+        # 20 trials in chunks of 7, 7 and 6 rows
         monkeypatch.setitem(sampling._JUMPS, (1, True), np.array([[-2], [-2]]))
-        monkeypatch.setattr(sampling, "_CHUNK", 7 * 3)
+        monkeypatch.setattr(sampling, "_ROWS", 7)
         with pytest.raises(ConsistencyError):
             simulate_chain(delta0(), [(1, "split")], 20, seed=1)
 
     def test_peak_memory_is_one_chunk(self):
-        # the whole 6000 x 4001 matrix would be 192 MB; one 1048-row chunk is 34 MB
+        # the whole 6000 x 4001 matrix would be 192 MB; one block of 4096 rows and 1025
+        # columns (511 elements past a reseat) is 34 MB
         stream = [(1, "split"), (2, "split"), (1, "inert"), (0, "split")] * 500
         tracemalloc.start()
         try:

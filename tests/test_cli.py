@@ -239,6 +239,11 @@ class TestExitCodes:
         assert "bad synthetic token ''" in capsys.readouterr().err
         assert not os.path.exists(cache_dir)
 
+    def test_zero_count_synthetic_is_refused_as_empty(self, capsys, cache_dir):
+        assert main(["simulate", "--trials", "10", "--seed", "1", "--synthetic", "0x1s"]) == 2
+        assert "synthetic stream is empty" in capsys.readouterr().err
+        assert not os.path.exists(cache_dir)
+
     @pytest.mark.parametrize("s, code", [(64, 0), (65, 2), (76, 2)])
     def test_tailbound_past_s_max_is_2(self, s, code, capsys):
         assert main(["tailbound", "--s", str(s)]) == code
@@ -429,13 +434,30 @@ class TestReportDeterminism:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "2523dd1fd0c67d1c8b4b0662b95b40093950f14332f9d7ba51fa702e86368951"
 
-    # width 4401 walks 3000 trials in four chunks of up to 953 rows; recorded from the one-matrix walk
+    # width 4401 walks 3000 trials as one chunk in four column blocks of up to 698 elements;
+    # recorded from the one-matrix walk
     def test_multi_chunk_simulate_stdout_is_pinned(self, capsys):
         argv = ["simulate", "--trials", "3000", "--seed", "5",
                 "--synthetic", "2100x1s+40x2s+30x0i+30x1i"]
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "0aad1d6ca15c9bf1598106e1a85cc2e3187f9336960f44e1c5935fa50e7ae6c7"
+
+    # the stream is the curve's support primes to 3000, read from a fresh cache
+    def test_curve_simulate_stdout_is_pinned(self, tmp_path, capsys, curve_file, cache_dir):
+        argv = ["simulate", "--curve-file", curve_file, "--label", "fix", "--max-prime", "3000",
+                "--trials", "2000", "--seed", "5"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a390504967154c0efe146a2109ae2cfd86f46ebe860e183e1d3d4d92e9714461"
+        out = str(tmp_path / "r.json")
+        assert main(argv + ["--out", out]) == 0
+        records = store.load_records(store.cache_path(cache_dir, "fix")).values()
+        support = sum(r.in_DB_support for r in records if r.p <= 3000)
+        assert json.load(open(out))["payload"]["source"] == {
+            "label": "fix", "max_prime": 3000, "stream_length": support
+        }
+        assert support == 420
 
     def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
         fifo = str(tmp_path / "report.fifo")

@@ -446,6 +446,16 @@ class TestFanDistribution:
         b = fan_law(2, 2, 40.0, growth, recs, 5000, seed=3)
         assert a.mass == b.mass
 
+    def test_no_trials_is_refused_before_any_draw(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(fans, "_sample_elements", fail)
+        monkeypatch.setattr(fans, "simulate_streams", fail)
+        index = FanIndex(FIX, ln_sequence(parse_growth("pow:1"), 14.0, 2), 1, records_upto(196))
+        with pytest.raises(ConfigError, match="trials must be positive, got 0"):
+            fan_distribution(index, Distribution.point_mass(0), 0, 1)
+
     def test_empty_fan_is_an_error(self):
         growth = parse_growth("log")
         recs = records_upto(150)
