@@ -1,8 +1,10 @@
 """The 48-element group of invertible 2x2 matrices over F3.
 
 Matrices are flat row-major 4-tuples of residues 0..2. Only the group and
-its conjugacy classes are enumerated, by brute force; every other table is
-read off the class list.
+its conjugacy classes are enumerated, by brute force, and they are the only
+brute-force enumeration on any command path: every other table is read off
+the class list, and that SL2(F3) has no subgroup of order 12 is read off one
+closure of its squares.
 """
 from __future__ import annotations
 
@@ -152,7 +154,10 @@ def sl2_subgroups() -> list[frozenset[Mat]]:
 
     Start from the cyclic subgroups and extend each known subgroup by each
     outside element until nothing new appears; every subgroup has a
-    generating chain, so the sweep finds them all.
+    generating chain, so the sweep finds them all. No command calls it: it
+    is kept only as the test oracle for `sl2_no_index2_normal` and as a
+    target that `perfbench/tracing.py` wraps by name, until ROADMAP item 1
+    drops it from `TARGETS`.
     """
     sl2 = sl2_elements()
     found = {frozenset({IDENTITY})}
@@ -170,10 +175,15 @@ def sl2_subgroups() -> list[frozenset[Mat]]:
 
 
 def sl2_no_index2_normal() -> bool:
-    """True iff SL2(F3) has no subgroup of order 12 (index 2 forces normal)."""
-    subs = sl2_subgroups()
-    assert len(sl2_elements()) == 24
-    return all(len(s) != 12 for s in subs)
+    """True iff SL2(F3) has no subgroup of order 12, read off its squares.
+
+    A subgroup of index 2 is normal with quotient Z/2, so it holds every
+    square. Conversely the squares generate a normal subgroup whose quotient
+    is an elementary abelian 2-group, which has a subgroup of index 2 unless
+    it is trivial. So an order-12 subgroup exists exactly when the squares
+    fail to generate all 24 elements; its 10 distinct squares generate them.
+    """
+    return len(_closure(frozenset(mul(g, g) for g in sl2_elements()))) == 24
 
 
 def match_class(trace_mod3: int, det_mod3: int, fdim: int, fdim_square: int) -> ConjClass:

@@ -436,12 +436,26 @@ class TestReportDeterminism:
 
     # width 4401 walks 3000 trials as one chunk in four column blocks of up to 698 elements;
     # recorded from the one-matrix walk
-    def test_multi_chunk_simulate_stdout_is_pinned(self, capsys):
+    def test_multi_block_simulate_stdout_is_pinned(self, capsys):
         argv = ["simulate", "--trials", "3000", "--seed", "5",
                 "--synthetic", "2100x1s+40x2s+30x0i+30x1i"]
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "0aad1d6ca15c9bf1598106e1a85cc2e3187f9336960f44e1c5935fa50e7ae6c7"
+
+    # 9000 trials walk as chunks of 4096, 4096 and 808 rows; one chunk of all
+    # 9000 rows must give the same bytes
+    def test_multi_chunk_simulate_stdout_is_pinned(self, capsys, monkeypatch):
+        argv = ["simulate", "--trials", "9000", "--seed", "5", "--rho", "0.6",
+                "--synthetic", "6x1s+2x2s+3x0i+2x1i"]
+        assert main(argv) == 0
+        chunked = capsys.readouterr().out
+        assert hashlib.sha256(chunked.encode()).hexdigest() == (
+            "8cf05c461a725ed581617b46f12189bda7e9df9cf73e159fbeb2b8e5dbc34418"
+        )
+        monkeypatch.setattr("selmerfan.sampling._ROWS", 2**20)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == chunked
 
     # the stream is the curve's support primes to 3000, read from a fresh cache
     def test_curve_simulate_stdout_is_pinned(self, tmp_path, capsys, curve_file, cache_dir):
@@ -1041,6 +1055,16 @@ class TestClassOutputsArePinned:
 
 
 class TestGroupReportCommand:
+    def test_report_is_derived_without_the_subgroup_sweep(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("gl2f3-report enumerated the subgroups of SL2(F3)")
+
+        monkeypatch.setattr("selmerfan.gl2f3.sl2_subgroups", refuse)
+        assert main(["gl2f3-report"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "cbc56ee24754f22ee0678131437b844aee54f7aa0a07717b4da1bfcfd3b6f70b"
+        )
+
     def test_payload(self, capsys):
         assert main(["gl2f3-report"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from selmerfan.gl2f3 import (
     IDENTITY,
+    _closure,
     conjugacy_classes,
     conjugacy_partition,
     det,
@@ -146,14 +147,29 @@ def test_fixed_dim_counts_fixed_vectors(g):
     assert fixed == 3 ** fixed_dim(g)
 
 
+def test_sl2_squares_generate_sl2():
+    squares = frozenset(mul(g, g) for g in sl2_elements())
+    assert len(squares) == 10
+    assert _closure(squares) == frozenset(sl2_elements())
+
+
+def test_gl2_squares_generate_only_sl2():
+    # the closure can fall short: GL2(F3) has SL2(F3) as a subgroup of index 2
+    squares = frozenset(mul(g, g) for g in enumerate_group())
+    assert len(squares) == 16
+    assert _closure(squares) == frozenset(sl2_elements())
+
+
+# the subgroup sweep is the oracle for the squares' closure
 def test_sl2_has_no_order12_subgroup():
     assert len(sl2_elements()) == 24
-    assert sl2_no_index2_normal() is True
-    sizes = sorted(len(s) for s in sl2_subgroups())
+    subgroups = sl2_subgroups()
+    sizes = sorted(len(s) for s in subgroups)
     assert sizes == [1, 2, 3, 3, 3, 3, 4, 4, 4, 6, 6, 6, 6, 8, 24]
     # every recorded subgroup really is closed
-    for s in sl2_subgroups():
+    for s in subgroups:
         assert all(mul(a, b) in s for a in s for b in s)
+    assert sl2_no_index2_normal() is (12 not in sizes)
 
 
 def test_match_class_identifies_every_class():
