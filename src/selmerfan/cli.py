@@ -265,7 +265,7 @@ def _run_fan(config: argparse.Namespace) -> dict:
 
 def _parse_gram(path: str) -> tuple[tuple[int, ...], ...]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             rows = json.load(fh)
     except OSError as e:
         raise DataError(f"cannot read gram file {path}: {e.strerror}") from e

@@ -9,10 +9,11 @@ plane's orthogonal complement W' are built first, and each extends in
 1 + 3^(k-1) ways, so N(W) = N(W')(1 + 3^(k-1)) at dim W = 2k (Taylor,
 The Geometry of the Classical Groups, 1992). Coordinatewise Lagrangians
 are built as direct sums of block Lagrangians.
+The one bilinear form B(u, v) = u.G.v is `QuadSpace.pairing`, which reads
+G.v from its space's image table; q(v) is B(v, v), with no halving.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -95,16 +96,15 @@ class Subspace:
         """All 3^dim member vectors."""
         return _combinations(self.basis, self.ambient_dim)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return _rref(list(self.basis) + [list(v)], self.ambient_dim) == self.basis
-
 
 @dataclass(frozen=True)
 class QuadSpace:
     """F3^dim with a symmetric nondegenerate Gram matrix and a block split.
 
-    The quadratic form is q(v) = v.gram.v directly (no halving; the
-    characteristic is 3, so the form and the pairing determine each other).
+    `pairing` is the one bilinear form B(u, v) = u.G.v, and the quadratic
+    form is q(v) = B(v, v) directly (no halving; the characteristic is 3, so
+    the form and the pairing determine each other). Each space keeps a table
+    of the images G.v of the residue vectors v it has paired, at most 3^dim.
     Blocks are n_blocks contiguous coordinate ranges of equal size.
     """
 
@@ -129,27 +129,30 @@ class QuadSpace:
             raise ConfigError("gram must be nondegenerate over F3")
         if self.n_blocks < 1 or self.dim % self.n_blocks:
             raise ConfigError("blocks must partition the coordinates evenly")
+        object.__setattr__(self, "_images", {})
 
     @property
     def block_dim(self) -> int:
         return self.dim // self.n_blocks
 
-    def block_range(self, i: int) -> range:
-        return range(i * self.block_dim, (i + 1) * self.block_dim)
-
-    def block_gram(self, i: int) -> tuple[tuple[int, ...], ...]:
-        rng = self.block_range(i)
-        return tuple(tuple(self.gram[r][c] for c in rng) for r in rng)
+    def block(self, i: int) -> QuadSpace:
+        """Block i as a space of its own, under the Gram matrix's block i."""
+        if not 0 <= i < self.n_blocks:
+            raise ConfigError(f"block {i} out of range 0..{self.n_blocks - 1}")
+        rng = range(i * self.block_dim, (i + 1) * self.block_dim)
+        return QuadSpace(self.block_dim, tuple(tuple(self.gram[r][c] for c in rng) for r in rng))
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """B(u, v) = u.G.v mod 3; only residue vectors v enter the image table."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ConfigError("vector length does not match dim")
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.dim) for j in range(self.dim)) % 3
-
-
-def quad_value(space: QuadSpace, v: Sequence[int]) -> int:
-    """q(v) = v.gram.v mod 3."""
-    return space.pairing(v, v)
+        key = tuple(v)
+        image = self._images.get(key)
+        if image is None:
+            image = tuple(sum(g * x for g, x in zip(row, key)) % 3 for row in self.gram)
+            if all(0 <= x <= 2 for x in key):
+                self._images[key] = image
+        return sum(a * b for a, b in zip(u, image)) % 3
 
 
 def hyperbolic_space(dim: int, n_blocks: int = 1) -> QuadSpace:
@@ -170,8 +173,6 @@ def enumerate_subspaces(space: QuadSpace, d: int) -> list[Subspace]:
     n = space.dim
     if not 0 <= d <= n:
         raise ConfigError(f"subspace dimension {d} out of range 0..{n}")
-    if d == 0:
-        return [Subspace(n, ())]
     out = []
     for pivots in itertools.combinations(range(n), d):
         free_pos = [
@@ -195,15 +196,9 @@ def enumerate_subspaces(space: QuadSpace, d: int) -> list[Subspace]:
 
 
 def is_totally_isotropic(space: QuadSpace, sub: Subspace) -> bool:
-    """Form and pairing both vanish on the subspace (basis checks suffice)."""
-    rows = sub.basis
-    for i, u in enumerate(rows):
-        if quad_value(space, u) != 0:
-            return False
-        for v in rows[i + 1:]:
-            if space.pairing(u, v) != 0:
-                return False
-    return True
+    """B vanishes on every pair i <= j of basis rows, so q(v) = B(v, v) does too."""
+    pairs = itertools.combinations_with_replacement(sub.basis, 2)
+    return all(space.pairing(u, v) == 0 for u, v in pairs)
 
 
 def lagrangians(space: QuadSpace) -> list[Subspace]:
@@ -215,16 +210,8 @@ def lagrangians(space: QuadSpace) -> list[Subspace]:
     W' extends in 1 + 3^(k-1) ways, so N(W) = N(W')(1 + 3^(k-1)).
     """
     n = space.dim
-
-    @functools.cache
-    def image(y: Vec) -> Vec:
-        return tuple(sum(g * x for g, x in zip(row, y)) % 3 for row in space.gram)
-
-    def pair(x: Vec, y: Vec) -> int:
-        return sum(a * b for a, b in zip(x, image(y))) % 3
-
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    out = [Subspace(n, rows) for rows in _lagrangian_rows(pair, identity)]
+    out = [Subspace(n, rows) for rows in _lagrangian_rows(space.pairing, identity)]
     out.sort(key=lambda s: s.basis)
     return out
 
@@ -272,10 +259,6 @@ def _lagrangian_rows(pair: Callable[[Vec, Vec], int], basis: Sequence[Vec]) -> l
     return out
 
 
-def _block_space(space: QuadSpace, i: int) -> QuadSpace:
-    return QuadSpace(space.block_dim, space.block_gram(i))
-
-
 def _block_lagrangian_sums(space: QuadSpace) -> Iterator[tuple[tuple[Subspace, ...], Subspace]]:
     """Each choice of one Lagrangian per block, with its direct sum.
 
@@ -288,7 +271,7 @@ def _block_lagrangian_sums(space: QuadSpace) -> Iterator[tuple[tuple[Subspace, .
     per_block = []
     for i in range(space.n_blocks):
         try:
-            per_block.append(lagrangians(_block_space(space, i)))
+            per_block.append(lagrangians(space.block(i)))
         except ConfigError as e:
             raise ConfigError(f"block {i}: {e}") from e
     k = space.block_dim
@@ -317,7 +300,7 @@ def ramified_coordinatewise_lagrangians(
     for i, mark in enumerate(distinguished):
         if mark.ambient_dim != space.block_dim:
             raise ConfigError(f"marked subspace {i} has wrong ambient dimension")
-        if mark.dim != space.block_dim // 2 or not is_totally_isotropic(_block_space(space, i), mark):
+        if mark.dim != space.block_dim // 2 or not is_totally_isotropic(space.block(i), mark):
             raise ConfigError(f"marked subspace {i} is not a Lagrangian of its block")
     return [
         w

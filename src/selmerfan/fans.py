@@ -294,8 +294,9 @@ def _sample_elements(index: FanIndex, count: int, seed: int) -> list[FanElement]
 
 
 # elements replayed per simulate_streams call, so that their streams, seeds and keyed pools
-# stay small: 2e5 trials of the 101,458-element fan --m 2 --w 2 --X 300 --growth pow:1
-# peaked at 89 MB in one call and at 57 MB in windows
+# stay small: `fan --m 2 --w 2 --X 300 --growth pow:1 --trials 200000` over the fix cache
+# to 1e5 (101,458 elements) peaked at 88.8 MB in one call and at 56.7 MB in windows, with
+# the same stdout, in fresh processes on a 2-core VM (Monte Carlo chunks of 4096 rows)
 _REPLAY_WINDOW = 1024
 
 

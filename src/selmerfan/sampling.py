@@ -142,9 +142,9 @@ def _thresholds() -> tuple[dict[int, np.ndarray], np.ndarray]:
     x is Python's 3.0 ** -r, as in chain._STEP_UP, so the class-1 row is
     _STEP_UP at s <= S_MAX: numpy's power differs from it by one ulp at some
     r. x is 0.0 from r = 679 on, so a take clipped to the last entry serves
-    every larger s. They are built at the first walk, since building them at
-    the import of `chain`, when it still held this walk, made every
-    command's peak RSS 0.3-0.4 MB higher.
+    every larger s. They are built at the first walk, not at import, so that
+    a command that imports this module and never walks, such as `fan` over
+    an empty fan, neither builds nor holds them.
     """
     x = np.repeat([3.0**-r for r in range(1024)], 2)
     return {1: _cij_entry(1, 0, x), 2: _cij_entry(2, 0, x)}, 1.0 - _cij_entry(2, 2, x)

@@ -29,7 +29,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def read_curves_csv(path: str) -> list[CurveQ]:
     """Parse a `label,A,B` file; comments with # and blank lines allowed."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read curve file {path}: {e}") from e

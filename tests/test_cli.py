@@ -530,6 +530,34 @@ class TestUnreadableInputs:
         self.check(argv, path, capsys)
 
 
+class TestByteOrderMark:
+    """Input files saved as "UTF-8 with BOM", as spreadsheets write them, read as without it."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("text", [b"label,A,B\nfix,1,1\n", b"fix,1,1\n"], ids=["header", "no-header"])
+    def test_curve_file(self, text, tmp_path, capsys, monkeypatch):
+        caches = []
+        for name, data in (("plain", text), ("bom", self.BOM + text)):
+            curves = tmp_path / f"{name}.csv"
+            curves.write_bytes(data)
+            cache = tmp_path / f"cache-{name}"
+            monkeypatch.setenv("SELMERFAN_CACHE_DIR", str(cache))
+            argv = ["classify", "--curve-file", str(curves), "--label", "fix", "--max-prime", "200"]
+            assert main(argv) == 0, capsys.readouterr().err
+            caches.append((cache / "fix.jsonl").read_bytes())
+        assert caches[1] == caches[0]
+        assert caches[1].isascii()
+
+    def test_gram_file(self, tmp_path, capsys):
+        gram = tmp_path / "gram.json"
+        gram.write_bytes(self.BOM + b"[[0, 1], [1, 0]]")
+        assert main(["lagrangians", "--dim", "2", "--gram", str(gram)]) == 0, capsys.readouterr().err
+        with_bom = capsys.readouterr().out
+        assert main(["lagrangians", "--dim", "2"]) == 0
+        assert with_bom == capsys.readouterr().out
+
+
 class TestUnwritableOutputs:
     """An output path that cannot be written is a configuration error (exit 2) naming it."""
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selmerfan import f3geom
+from selmerfan.errors import ConfigError
 from selmerfan.f3geom import (
     QuadSpace,
     Subspace,
@@ -18,7 +19,6 @@ from selmerfan.f3geom import (
     hyperbolic_space,
     is_totally_isotropic,
     lagrangians,
-    quad_value,
     ramified_coordinatewise_lagrangians,
 )
 
@@ -116,16 +116,14 @@ SPLIT_6 = next(space for space in RANDOM_SPACES[6] if closed_form_count(space))
 
 
 def block_projections(space, sub):
-    return [
-        Subspace(space.block_dim, [[row[j] for j in space.block_range(i)] for row in sub.basis])
-        for i in range(space.n_blocks)
-    ]
+    k = space.block_dim
+    return [Subspace(k, [row[i * k:(i + 1) * k] for row in sub.basis]) for i in range(space.n_blocks)]
 
 
 def brute_coordinatewise(space):
     """Reference: every half-dimensional subspace whose block projections are
     Lagrangians of their blocks, by filtering the full enumeration."""
-    blocks = [QuadSpace(space.block_dim, space.block_gram(i)) for i in range(space.n_blocks)]
+    blocks = [space.block(i) for i in range(space.n_blocks)]
     return [
         w
         for w in half_subspaces(space.dim)
@@ -157,9 +155,9 @@ def test_span_contains_combinations(vectors, coeffs):
     combo = [0, 0, 0, 0]
     for v, c in zip(vectors, coeffs):
         combo = [(x + c * y) % 3 for x, y in zip(combo, v)]
-    assert sub.contains(combo)
+    assert Subspace(4, [*sub.basis, combo]) == sub
     for v in vectors:
-        assert sub.contains(v)
+        assert Subspace(4, [*sub.basis, v]) == sub
 
 
 @given(st.lists(vec(4), min_size=1, max_size=4), st.randoms(use_true_random=False))
@@ -175,7 +173,7 @@ def test_subspace_vectors_enumerates_all_members():
     members = list(sub.vectors())
     assert len(members) == 9
     assert len(set(members)) == 9
-    assert all(sub.contains(v) for v in members)
+    assert all(Subspace(4, [*sub.basis, v]) == sub for v in members)
 
 
 @pytest.mark.parametrize(
@@ -229,23 +227,92 @@ def test_quadspace_validation():
 
 def test_hyperbolic_plane_quad_values():
     h = hyperbolic_space(2)
-    assert quad_value(h, (1, 0)) == 0
-    assert quad_value(h, (0, 1)) == 0
-    assert quad_value(h, (1, 1)) == 2
-    assert quad_value(h, (1, 2)) == 1
+    assert h.pairing((1, 0), (1, 0)) == 0
+    assert h.pairing((0, 1), (0, 1)) == 0
+    assert h.pairing((1, 1), (1, 1)) == 2
+    assert h.pairing((1, 2), (1, 2)) == 1
 
 
 @given(vec(4), st.integers(0, 2))
 def test_quad_value_scales_by_square(v, c):
     h = hyperbolic_space(4)
     cv = tuple(c * x % 3 for x in v)
-    assert quad_value(h, cv) == c * c * quad_value(h, v) % 3
+    assert h.pairing(cv, cv) == c * c * h.pairing(v, v) % 3
 
 
 @given(vec(4), vec(4))
 def test_pairing_symmetric(u, v):
     h = hyperbolic_space(4)
     assert h.pairing(u, v) == h.pairing(v, u)
+
+
+def double_sum(space, u, v):
+    """Reference: B(u, v) = sum over i, j of u_i G_ij v_j, mod 3."""
+    n = space.dim
+    return sum(u[i] * space.gram[i][j] * v[j] for i in range(n) for j in range(n)) % 3
+
+
+NONDEGENERATE_2 = [
+    QuadSpace(2, ((a, b), (b, d)))
+    for a, b, d in itertools.product(range(3), repeat=3)
+    if (a * d - b * b) % 3
+]
+
+
+# residues and the unreduced entries 4 and -1, which the form reduces but the table skips
+ENTRIES = (0, 1, 2, 4, -1)
+
+
+@pytest.mark.parametrize("space", NONDEGENERATE_2, ids=lambda s: "".join(map(str, sum(s.gram, ()))))
+def test_pairing_matches_the_double_sum_in_dim_2(space):
+    vectors = list(itertools.product(ENTRIES, repeat=2))
+    for u in vectors:
+        for v in vectors:
+            assert space.pairing(u, v) == space.pairing(list(u), list(v)) == double_sum(space, u, v)
+    # every residue v was paired, and no unreduced one was kept
+    assert sorted(space._images) == list(itertools.product(range(3), repeat=2))
+
+
+def test_pairing_matches_the_double_sum_in_dim_6():
+    space = QuadSpace(6, OFFDIAG_6)
+    rng = random.Random(6)
+    v = [rng.choice(ENTRIES) for _ in range(6)]
+    for _ in range(200):
+        u = [rng.choice(ENTRIES) for _ in range(6)]
+        if rng.random() < 0.5:  # else pair with the last v again
+            v = [rng.choice(ENTRIES) for _ in range(6)]
+        assert space.pairing(u, v) == space.pairing(tuple(u), tuple(v)) == double_sum(space, u, v)
+    assert all(0 <= x <= 2 for key in space._images for x in key)
+    assert len(space._images) <= 3**space.dim
+
+
+def test_pairing_refuses_wrong_lengths():
+    space = hyperbolic_space(4)
+    with pytest.raises(ConfigError, match="vector length"):
+        space.pairing((1, 0, 0), (1, 0, 0, 0))
+    with pytest.raises(ConfigError, match="vector length"):
+        space.pairing((1, 0, 0, 0), (1, 0, 0, 0, 0))
+
+
+def test_image_table_is_not_a_field():
+    # equal spaces stay equal, with one hash and one repr, whatever they have paired
+    a, b = hyperbolic_space(4), hyperbolic_space(4)
+    a.pairing((1, 0, 0, 0), (0, 1, 0, 0))
+    assert a._images and not b._images
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_block_is_the_sub_gram_space():
+    space = hyperbolic_space(6, 3)
+    for i in range(3):
+        rng = range(2 * i, 2 * i + 2)
+        sub_gram = tuple(tuple(space.gram[r][c] for c in rng) for r in rng)
+        assert space.block(i) == QuadSpace(2, sub_gram)
+    offdiag = QuadSpace(4, OFFDIAG_4, 2)
+    assert offdiag.block(1) == QuadSpace(2, ((1, 0), (0, 2)))
+    for i in (-1, 3):
+        with pytest.raises(ConfigError, match="out of range"):
+            space.block(i)
 
 
 def test_lagrangian_counts():
@@ -290,7 +357,7 @@ def test_lagrangians_are_isotropic_half_dim():
             assert is_totally_isotropic(space, lag)
             members = list(lag.vectors())
             assert len(set(members)) == 3**lag.dim
-            assert all(quad_value(space, v) == 0 for v in members)
+            assert all(space.pairing(v, v) == 0 for v in members)
             for u in members:
                 for v in members:
                     assert space.pairing(u, v) == 0
@@ -360,7 +427,7 @@ def test_ramified_count_two_blocks():
     ]
     assert len(ram) == 1
     lone = ram[0]
-    assert lone.contains((0, 1, 0, 0)) and lone.contains((0, 0, 0, 1))
+    assert lone == Subspace(4, [(0, 1, 0, 0), (0, 0, 0, 1)])
 
 
 def test_ramified_validates_marks():
@@ -394,8 +461,7 @@ def test_ramified_marks_may_be_any_spanning_rows():
 def test_ramified_rejects_isotropic_marks_below_half_dim(space, marks):
     # isotropic but not Lagrangian: such a mark equals no block projection,
     # so it would filter nothing and every coordinatewise one would pass
-    assert all(is_totally_isotropic(QuadSpace(space.block_dim, space.block_gram(i)), m)
-               for i, m in enumerate(marks))
+    assert all(is_totally_isotropic(space.block(i), m) for i, m in enumerate(marks))
     with pytest.raises(ValueError, match="not a Lagrangian"):
         ramified_coordinatewise_lagrangians(space, marks)
 
