@@ -231,6 +231,9 @@ def _run_frobclass(config: argparse.Namespace) -> dict:
 def _run_fan(config: argparse.Namespace) -> dict:
     from .fans import FanIndex, enumerate_fan, fan_distribution, ln_sequence, parse_growth
 
+    if config.m > MAX_STREAM:
+        # an element has m distinct primes, and no more than MAX_STREAM lie up to MAX_PRIME
+        raise ConfigError(f"--m must be at most {MAX_STREAM}, the primes up to {MAX_PRIME}")
     if config.trials is not None:
         _require_seed(config)
         initial = RhoE(config.rho).initial_distribution()

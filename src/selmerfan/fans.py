@@ -8,7 +8,9 @@ representative x^3 - prod(q_j) and 6^m character lifts; replaying the
 tuple's classified primes through the rank walk gives the fan's empirical
 Selmer-dimension law. A FanIndex counts the fan without listing it and
 gives its k-th element, so the law is sampled by count; `enumerate_fan`
-lists the fan only for output that shows its elements.
+lists the fan only for output that shows its elements. The growth kinds
+(`log`, `pow:a`, `affine:a,b`) are stated once, in GROWTH_LAWS, with their
+parameter counts and laws; a law's spec string parses back to the same law.
 """
 from __future__ import annotations
 
@@ -24,72 +26,66 @@ from .curves import CurveQ, PrimeClassRecord, good_primes
 from .errors import ConfigError, DataError
 from .sampling import law_from_counts, simulate_streams
 
-# the most elements a fan may have; listing 10^6 five-prime elements peaks near 210 MB
+# the most elements a fan may have. Listing is the cheap part: `enumerate_fan` of the
+# 128,505-element fan `--m 4 --w 4 --X 8 --growth affine:0,12` grew the peak 36.8 -> 56.8 MB.
+# Printing its JSON costs about 10x more: 245 MB peak (3.5 s), and 182 MB for the 101,458
+# elements of `--m 2 --w 2 --X 300 --growth pow:1` (fresh processes over a warm cache, 2 cores)
 MAX_FAN_ELEMENTS = 10**6
 # the most int64 counts a FanIndex holds (128 MiB); only fans far past the cap need more
 MAX_INDEX_COUNTS = 2**24
 
 
+# the growth kinds: kind -> (parameter count, law at y >= 1 with parameters a, b)
+GROWTH_LAWS = {
+    "log": (0, lambda y, a, b: max(1.0, math.log(y))),
+    "pow": (1, lambda y, a, b: y**a),
+    "affine": (2, lambda y, a, b: a * y + b),
+}
+
+
 @dataclass(frozen=True)
 class GrowthFn:
-    """Named nondecreasing function [1, inf) -> [1, inf)."""
+    """Named nondecreasing function [1, inf) -> [1, inf), a kind of GROWTH_LAWS."""
 
     kind: str
     a: float = 0.0
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.kind not in GROWTH_LAWS:
+            raise ConfigError(f"unknown growth kind {self.kind!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ConfigError(f"growth parameters must be finite, got {self.a}, {self.b}")
-        if self.kind == "log":
-            return
-        if self.kind == "pow":
-            if self.a < 0:
-                raise ConfigError("power growth needs a non-negative exponent")
-            return
-        if self.kind == "affine":
-            if self.a < 0:
-                raise ConfigError("affine growth needs a non-negative slope")
-            if self.a + self.b < 1:
-                raise ConfigError("affine growth must map 1 to at least 1")
-            return
-        raise ConfigError(f"unknown growth kind {self.kind!r}")
+        arity = GROWTH_LAWS[self.kind][0]
+        if any((self.a, self.b)[arity:]):
+            raise ConfigError(f"{self.kind} growth takes {arity} parameter(s): {self.a}, {self.b}")
+        if self.a < 0 or self(1.0) < 1:
+            raise ConfigError(f"{self.kind} growth must be nondecreasing, from L(1) >= 1")
 
     def __call__(self, y: float) -> float:
         if y < 1:
             raise ConfigError(f"growth functions are defined on [1, inf), got {y}")
-        if self.kind == "log":
-            return max(1.0, math.log(y))
-        if self.kind == "pow":
-            return y**self.a
-        return self.a * y + self.b
+        return GROWTH_LAWS[self.kind][1](y, self.a, self.b)
 
     def spec_string(self) -> str:
-        if self.kind == "log":
-            return "log"
-        if self.kind == "pow":
-            return f"pow:{self.a:g}"
-        return f"affine:{self.a:g},{self.b:g}"
+        """The spec `parse_growth` reads back to this law: every parameter's shortest repr."""
+        arity = GROWTH_LAWS[self.kind][0]
+        params = ",".join(repr(x).removesuffix(".0") for x in (self.a, self.b)[:arity])
+        return f"{self.kind}:{params}" if params else self.kind
 
 
 def parse_growth(text: str) -> GrowthFn:
-    """Parse 'log', 'pow:alpha' or 'affine:a,b'."""
+    """Parse 'log', 'pow:alpha' or 'affine:a,b': a kind and its comma-separated parameters."""
     name, _, args = text.partition(":")
+    if name not in GROWTH_LAWS:
+        raise ConfigError(f"unknown growth function {name!r}")
     try:
-        if name == "log":
-            if args:
-                raise ValueError("log takes no parameters")
-            return GrowthFn("log")
-        if name == "pow":
-            return GrowthFn("pow", float(args))
-        if name == "affine":
-            a, b = (float(t) for t in args.split(","))
-            return GrowthFn("affine", a, b)
-    except ConfigError:
-        raise
+        params = [float(t) for t in args.split(",")] if args else []
+        if len(params) != GROWTH_LAWS[name][0]:
+            raise ValueError(f"{name} takes {GROWTH_LAWS[name][0]} parameter(s)")
     except ValueError as e:
         raise ConfigError(f"bad growth spec {text!r}: {e}") from e
-    raise ConfigError(f"unknown growth function {name!r}")
+    return GrowthFn(name, *params)
 
 
 class RangeOverflowError(ConfigError):

@@ -27,7 +27,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def read_curves_csv(path: str) -> list[CurveQ]:
-    """Parse a `label,A,B` file; comments with # and blank lines allowed."""
+    """Parse a `label,A,B` file: # comments and blank lines anywhere, a header before any row."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -35,12 +35,15 @@ def read_curves_csv(path: str) -> list[CurveQ]:
         raise DataError(f"cannot read curve file {path}: {e}") from e
     curves: list[CurveQ] = []
     seen: set[str] = set()
+    first_row = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if lineno == 1 and line.lower().replace(" ", "") == "label,a,b":
+        if first_row and line.lower().replace(" ", "") == "label,a,b":
+            first_row = False
             continue
+        first_row = False
         parts = [t.strip() for t in line.split(",")]
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected label,A,B")

@@ -17,6 +17,7 @@ from selmerfan import store
 from selmerfan.cli import main, parse_args, parse_synthetic, run
 from selmerfan.curves import CurveQ, classify_prime
 from selmerfan.errors import ConfigError
+from selmerfan.fans import ln_sequence, parse_growth
 
 
 @pytest.fixture()
@@ -114,6 +115,18 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "exceeds the supported bound" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
+
+    def test_fan_m_past_the_prime_count_is_2_before_any_work(
+        self, capsys, curve_file, cache_dir, no_point_counts
+    ):
+        # 78,499 distinct primes do not fit under MAX_PRIME, so the fan is empty
+        rc = main(
+            ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "78499", "--w", "0",
+             "--X", "1", "--growth", "log"]
+        )
+        assert rc == 2
+        assert "--m must be at most 78498" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cache_dir, "fix.jsonl"))
 
     def test_fan_trials_without_seed_is_2_before_any_work(
@@ -754,6 +767,14 @@ class TestFanCommand:
 
     def fan_argv(self, curve_file, *args):
         return ["fan", "--curve-file", curve_file, "--label", "fix", "--m", "2", *args]
+
+    def test_growth_spec_keeps_every_digit(self, curve_file, cache_dir):
+        argv = self.fan_argv(curve_file, "--w", "1", "--X", "20", "--growth", "pow:1.0000001")
+        payload = run(parse_args(argv)).payload
+        assert payload["growth"] == "pow:1.0000001"
+        # the payload's bounds, at 12 digits, are those of the law its spec names
+        bounds = ln_sequence(parse_growth(payload["growth"]), 20.0, 2)
+        assert payload["bounds"] == pytest.approx(bounds, rel=1e-11)
 
     def test_law_alone_renders_no_element(self, capsys, curve_file, cache_dir, monkeypatch):
         def refuse(self):

@@ -52,12 +52,20 @@ class TestGrowthFn:
             GrowthFn("log")(0.5)
 
     def test_parse_round_trip(self):
-        for text in ["log", "pow:1.5", "affine:2,5"]:
+        for text in ["log", "pow:1.5", "affine:2,5", "pow:1.0000001", "affine:0.1,0.95",
+                     "pow:123456789"]:
             g = parse_growth(text)
+            assert g.spec_string() == text
             assert parse_growth(g.spec_string()) == g
 
+    def test_parameter_the_kind_does_not_take_is_refused(self):
+        for kind, a, b in (("log", 5.0, 0.0), ("log", 0.0, 1.0), ("pow", 2.0, 1.0)):
+            with pytest.raises(ConfigError, match="takes"):
+                GrowthFn(kind, a, b)
+
     def test_parse_rejects_garbage(self):
-        for bad in ["exp", "pow:", "pow:-1", "affine:1", "affine:0,0.5", ""]:
+        for bad in ["exp", "pow:", "pow:-1", "affine:1", "affine:0,0.5", "", "log:5", "pow:2,1",
+                    "affine:1,2,3"]:
             with pytest.raises(ConfigError):
                 parse_growth(bad)
 

@@ -38,6 +38,16 @@ class TestCurvesCsv:
         path = self.write(tmp_path, "label,A,B\n# comment\n\nalpha,1,1\n")
         assert len(read_curves_csv(path)) == 1
 
+    @pytest.mark.parametrize("lead", ["# my curves\n", "\n"], ids=["comment", "blank"])
+    def test_header_after_a_comment_or_blank_line(self, tmp_path, lead):
+        path = self.write(tmp_path, f"{lead}label,A,B\nfix,1,1\n")
+        assert [(c.label, c.A, c.B) for c in read_curves_csv(path)] == [("fix", 1, 1)]
+
+    def test_header_after_a_curve_row_is_an_error(self, tmp_path):
+        path = self.write(tmp_path, "fix,1,1\nlabel,A,B\n")
+        with pytest.raises(DataError, match=":2:"):
+            read_curves_csv(path)
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             read_curves_csv("/nonexistent/curves.csv")
